@@ -275,32 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse argv; with ``--config``, parse it again with the file's values
+    as the subcommand's defaults. argparse then converts each value with its
+    flag's ``type`` (a bad value exits 2), and flags on the command line
+    still win."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         cfg = _load_config(args.config)
-        # collect the destinations this subcommand accepts
-        valid = set(vars(args))
+        # the destinations this subcommand accepts
+        valid = set(vars(args)) - {"func", "command"}
         unknown = [k for k in cfg if k not in valid]
         if unknown:
             raise DomainError(
                 f"unknown configuration keys: {', '.join(sorted(unknown))}")
-        # flags given explicitly on the command line win over the config
-        given = set()
-        for tok in argv:
-            if tok.startswith("--"):
-                given.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-        for key, raw in cfg.items():
-            if key in given:
-                continue
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, key, int(raw))
-            elif isinstance(current, float):
-                setattr(args, key, float(raw))
-            else:
-                setattr(args, key, raw)
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].set_defaults(**cfg)
+        args = parser.parse_args(argv)
     return args
 
 

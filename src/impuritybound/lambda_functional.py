@@ -51,12 +51,35 @@ def _args_geometry(args: LambdaArgs):
     return S, K, psi
 
 
+@lru_cache(maxsize=16)
+def _angular(nth: int, nphi: int):
+    """Angular nodes and weights of the (theta, phi) rule, shaped to
+    broadcast against an (nr, nth, nphi) grid: cos(theta), sin(theta) and
+    the theta weights as (1, nth, 1); cos(phi), sin(phi)^2 and the phi
+    weights as (1, 1, nphi). phi runs over (0, pi); the integrand is even
+    under phi -> -phi since s_y = 0."""
+    ct, wt = _gl(nth)
+    st = np.sqrt(np.maximum(1.0 - ct**2, 0.0))
+    xp, wp = _gl(nphi)
+    phi = 0.5 * math.pi * (xp + 1.0)
+    jp = 0.5 * math.pi * wp
+    th = [v.reshape(1, nth, 1) for v in (ct, st, wt)]
+    ph = [v.reshape(1, 1, nphi) for v in (np.cos(phi), np.sin(phi) ** 2, jp)]
+    for v in th + ph:
+        v.flags.writeable = False
+    return tuple(th + ph)
+
+
 def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
                     nr, nth, nphi, r_hi=None):
     """Integral of lambda over t (r_hi=None) or over |t - AK| <= r_hi,
     at a fixed tensor-product resolution.
 
     Coordinates: K along e_z, s_tilde in the x-z plane at angle psi.
+    Factors of (r, theta) alone are formed on (nr, nth, 1) arrays; only the
+    phi-dependent terms fill the (nr, nth, nphi) grid, in place. Each
+    element sees the same operations in the same order as a plain
+    meshgrid evaluation, so results do not depend on this layout.
     """
     if S == 0.0:
         return 0.0
@@ -87,27 +110,36 @@ def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
     else:
         r = 0.5 * r_hi * (xr + 1.0)
         jr = 0.5 * r_hi * wr
-    xt, wt = _gl(nth)
-    ct = xt
-    st = np.sqrt(1.0 - ct**2)
-    xp, wp = _gl(nphi)
-    # phi in (0, pi); the integrand is even under phi -> -phi since s_y = 0
-    phi = 0.5 * math.pi * (xp + 1.0)
-    jp = 0.5 * math.pi * wp
+    ct, st, wt, cp, sp2, jp = _angular(nth, nphi)
+    R = r.reshape(nr, 1, 1)
+    tz = ak + R * ct
 
-    R, CT, PH = np.meshgrid(r, ct, phi, indexing="ij")
-    ST = np.sqrt(np.maximum(1.0 - CT**2, 0.0))
-    tz = ak + R * CT
-    tx = R * ST * np.cos(PH)
-    t2 = tx * tx + R * R * ST * ST * np.sin(PH) ** 2 + tz * tz
-    sdott = sx * tx + sz * tz
-    bracket = s2 + t2 + B
-    denom = bracket * bracket - (c4 * sdott) ** 2
-    f = (c1 * t2 + B) ** -0.25 * np.abs(sdott) / denom
+    # full grid: t_x, then t^2 and s.t, each in place
+    tx = R * st * cp
+    t2 = tx * tx
+    tmp = R * R * st * st * sp2
+    t2 += tmp
+    t2 += tz * tz
+    sdott = tx
+    sdott *= sx
+    sdott += sz * tz
+    denom = np.add(s2, t2, out=tmp)
+    denom += B
+    denom *= denom
+    csq = c4 * sdott
+    csq **= 2
+    denom -= csq
+    f = t2
+    f *= c1
+    f += B
+    f **= -0.25
+    f *= np.abs(sdott, out=sdott)
+    f /= denom
     # the 1/((t-AK)^2 + dreg) factor against the Jacobian r^2
     f *= R * R / (R * R + dreg)
-    W = jr[:, None, None] * wt[None, :, None] * jp[None, None, :]
-    return 2.0 * pref * float((f * W).sum())
+    W = np.multiply(jr.reshape(nr, 1, 1) * wt, jp, out=csq)
+    f *= W
+    return 2.0 * pref * float(f.sum())
 
 
 _LEVELS = ((48, 28, 28), (72, 44, 44), (108, 64, 64), (160, 96, 96),
@@ -144,12 +176,6 @@ def integrate_lambda(args: LambdaArgs, tol: float = 1e-5,
         estimate=prev, error_bound=err)
 
 
-def _quick_integral(m, A, S, K, psi, Q, delta=0.0, n=1, ell=1.0,
-                    level=0):
-    nr, nth, nphi = _LEVELS[level]
-    return _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell, nr, nth, nphi)
-
-
 def _fold_angle(psi: float) -> float:
     psi = psi % (2.0 * math.pi)
     return 2.0 * math.pi - psi if psi > math.pi else psi
@@ -175,10 +201,9 @@ def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaRes
 
     def value(u, v, psi, level):
         S, K, Q = magnitudes(u, v)
-        if cfg.gauge == "s_tilde":
-            pass
         try:
-            return _quick_integral(m, A, S, K, psi, Q, level=level)
+            return _lam_quad_fixed(m, A, S, K, psi, Q, 0.0, 1, 1.0,
+                                   *_LEVELS[level])
         except DomainError:
             return 0.0
 

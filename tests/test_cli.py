@@ -80,3 +80,43 @@ def test_ltcheck_runs_small(capsys, tmp_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_squared_trace_ok"] is True
     assert len(doc["results"]) == 2
+
+
+def test_config_values_take_flag_types(capsys, tmp_path, registry):
+    # defaults of None used to leave config values as strings
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda_val = 0.3409\nkappa = 100.0\n")
+    code = main(["bound", "--m", "1", "--n", "1000", "--ell", "1",
+                 "--alpha", "-1", "--kappa", "1.0", "--config", str(cfg)])
+    assert code == 0               # --kappa wins over the config's 100.0
+    doc = json.loads(capsys.readouterr().out)
+    from impuritybound.bounds import bound_confined
+    rep = bound_confined(1.0, 1.0, 1000, 1.0, -1.0, registry,
+                         lambda_val=0.3409)
+    assert doc["value"] == rep.value
+
+
+def test_config_bad_value_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 1e3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--m", "1", "--alpha", "-1", "--lambda-val",
+              "0.3409", "--kappa", "1.0", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [
+        "impuritybound bound: error: argument --n: invalid int value: '1e3'"]
+
+
+def test_argv_parsed_once_without_config(monkeypatch, capsys):
+    import argparse
+    calls = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def counting(self, *a, **kw):
+        calls.append(a)
+        return parse(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    assert main(["spectrum", "--count", "3"]) == 0
+    assert len(calls) == 1

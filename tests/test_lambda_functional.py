@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from impuritybound.errors import AccuracyError, PreconditionError
-from impuritybound.lambda_functional import (_hybrid_lattice_sum,
-                                             fit_c_lambda, integrate_lambda,
+from impuritybound.errors import AccuracyError, DomainError, PreconditionError
+from impuritybound.kernels import lambda_coefficients
+from impuritybound.lambda_functional import (_LEVELS, _gl, _hybrid_lattice_sum,
+                                             _lam_quad_fixed, fit_c_lambda,
+                                             integrate_lambda,
                                              lattice_lambda_sum,
                                              write_sweep_csv)
-from impuritybound.params import LambdaArgs
+from impuritybound.params import LambdaArgs, default_a_const
 
 # frozen in-repo reference: full quadrature ladder at tol 1e-5
 SPOT_ARGS = dict(s_tilde=(1.0, 0.0, 0.0), k_vec=(0.0, 0.0, 1.1),
@@ -51,6 +53,78 @@ def test_integral_rotation_invariance():
                      q_mu=0.4, m=1.0)
     v1 = integrate_lambda(rot, tol=1e-5)
     assert v1 == pytest.approx(SPOT_VALUE, rel=1e-6)
+
+
+def _meshgrid_quad(m, A, S, K, psi, Q, delta, n, ell, nr, nth, nphi,
+                   r_hi=None):
+    """Reference evaluation of the fixed-resolution quadrature on full
+    meshgrid arrays, one expression per factor."""
+    if S == 0.0:
+        return 0.0
+    c1, a, c4 = lambda_coefficients(m)
+    ak = A * K
+    sx, sz = S * math.sin(psi), S * math.cos(psi)
+    B = a * (2.0 * Q * Q + A * K * K)
+    dreg = delta / ell**2
+    s2 = S * S
+    pref = (sx * sx + (sz - ak) ** 2 + 2.0 * Q * Q + n * dreg) / (
+        math.pi**2 * (1.0 + m))
+    quart_s = c1 * s2 + B
+    if quart_s <= 0:
+        raise DomainError("vanishing quartic-root factor")
+    pref *= quart_s**-0.25
+    scale = math.sqrt(s2 + 2.0 * Q * Q + ak * ak + B + dreg)
+    if scale == 0.0:
+        return 0.0
+    xr, wr = _gl(nr)
+    if r_hi is None:
+        x = 0.5 * (xr + 1.0)
+        r = scale * x / (1.0 - x)
+        jr = 0.5 * wr * scale / (1.0 - x) ** 2
+    else:
+        r = 0.5 * r_hi * (xr + 1.0)
+        jr = 0.5 * r_hi * wr
+    ct, wt = _gl(nth)
+    xp, wp = _gl(nphi)
+    phi = 0.5 * math.pi * (xp + 1.0)
+    jp = 0.5 * math.pi * wp
+    R, CT, PH = np.meshgrid(r, ct, phi, indexing="ij")
+    ST = np.sqrt(np.maximum(1.0 - CT**2, 0.0))
+    tz = ak + R * CT
+    tx = R * ST * np.cos(PH)
+    t2 = tx * tx + R * R * ST * ST * np.sin(PH) ** 2 + tz * tz
+    sdott = sx * tx + sz * tz
+    bracket = s2 + t2 + B
+    denom = bracket * bracket - (c4 * sdott) ** 2
+    f = (c1 * t2 + B) ** -0.25 * np.abs(sdott) / denom
+    f *= R * R / (R * R + dreg)
+    W = jr[:, None, None] * wt[None, :, None] * jp[None, None, :]
+    return 2.0 * pref * float((f * W).sum())
+
+
+def test_quadrature_bit_identical_to_meshgrid_reference():
+    """The broadcast, in-place quadrature returns exactly the meshgrid
+    reference's floats: same operations per element, same summation."""
+    rng = np.random.default_rng(20261018)
+    for i in range(48):
+        m = float(10.0 ** rng.uniform(math.log10(0.25), math.log10(30.0)))
+        S, K, Q = (float(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(3))
+        psi = float(rng.uniform(0.0, math.pi))
+        delta = 0.0 if i % 2 else float(10.0 ** rng.uniform(-2.0, 2.0))
+        r_hi = None if i % 4 < 2 else float(10.0 ** rng.uniform(-2.0, 3.0))
+        level = (0, 1, 0, 1, 2, 0, 1, 0)[i % 8]
+        args = (m, default_a_const(m), S, K, psi, Q, delta,
+                int(rng.integers(1, 200)), float(rng.uniform(0.5, 2.0)),
+                *_LEVELS[level])
+        assert _lam_quad_fixed(*args, r_hi=r_hi) == _meshgrid_quad(
+            *args, r_hi=r_hi)
+    # both reject a vanishing quartic-root factor: c1 < 0 below m = 0, and
+    # an underflowing S^2 with Q = K = 0
+    for m, S in ((-0.5, 1.0), (1.0, 1e-200)):
+        args = (m, 1.0, S, 0.0, 0.3, 0.0, 0.0, 1, 1.0, *_LEVELS[0])
+        for quad in (_lam_quad_fixed, _meshgrid_quad):
+            with pytest.raises(DomainError):
+                quad(*args)
 
 
 LATTICE_ARGS = dict(s_tilde=(40.0, 0.0, 0.0), k_vec=(0.0, 0.0, 30.0),
