@@ -424,8 +424,8 @@ def random_admissible_q(lbig: float, mu: float, seed: int,
     A random symmetric contraction is projected into the admissible set by
     clipping the eigenvalues of Q + P to [0, 1].
     """
-    spec = dirichlet_levels(lbig, 4096)
-    below = [t for v, mult, t in spec.levels if v <= mu]
+    if not lbig > 0:
+        raise DomainError(f"box side must be positive, got {lbig}")
     # expand multiplicity: enumerate all labels below mu plus a slice above
     n2_mu = int(mu * (lbig / math.pi) ** 2)
     lab_below = [tuple(int(c) for c in t) for t in _enumerate_n2(n2_mu)]

@@ -277,20 +277,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     """Parse argv; with ``--config``, parse it again with the file's values
     as the subcommand's defaults. argparse then converts each value with its
-    flag's ``type`` (a bad value exits 2), and flags on the command line
-    still win."""
+    flag's ``type`` (a bad value exits 2), flags on the command line still
+    win, and a required flag may come from the file instead.
+
+    The first parse waives the subcommands' required flags so that the file
+    is read before they are checked. Without ``--config`` it is the only
+    parse, unless a required flag is missing: then the second parse, with
+    the flags required again, reports it as a usage error."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    required = [a for sp in sub.choices.values() for a in sp._actions
+                if a.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config)
-        # the destinations this subcommand accepts
-        valid = set(vars(args)) - {"func", "command"}
-        unknown = [k for k in cfg if k not in valid]
-        if unknown:
-            raise DomainError(
-                f"unknown configuration keys: {', '.join(sorted(unknown))}")
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        sub.choices[args.command].set_defaults(**cfg)
+    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    # the destinations this subcommand accepts
+    valid = set(vars(args)) - {"func", "command"}
+    unknown = [k for k in cfg if k not in valid]
+    if unknown:
+        raise DomainError(
+            f"unknown configuration keys: {', '.join(sorted(unknown))}")
+    sub.choices[args.command].set_defaults(**cfg)
+    for action in required:
+        action.required = action.dest not in cfg
+    chosen = sub.choices[args.command]._actions
+    if cfg or any(a.required and getattr(args, a.dest) is None
+                  for a in chosen):
         args = parser.parse_args(argv)
     return args
 

@@ -284,30 +284,6 @@ class LatticeSumResult(float):
         return float(self)
 
 
-def _lambda_array(args: LambdaArgs, pts: np.ndarray) -> np.ndarray:
-    """Vectorized kernel over an (n,3) array of t_tilde points."""
-    s = np.asarray(args.s_tilde)
-    K = np.asarray(args.k_vec)
-    m, A, Q = args.m, args.a_const, args.q_mu
-    c1, a, c4 = lambda_coefficients(m)
-    ak = A * K
-    B = a * (2.0 * Q * Q + A * float(K @ K))
-    dreg = args.delta / args.ell**2
-    d = pts - ak
-    sing = (d * d).sum(axis=1) + dreg
-    if np.any(sing <= 0):
-        raise DomainError("lattice point coincides with the singular point at delta=0")
-    t2 = (pts * pts).sum(axis=1)
-    sdott = pts @ s
-    s2 = float(s @ s)
-    bracket = s2 + t2 + B
-    denom = bracket * bracket - (c4 * sdott) ** 2
-    pref = (float((s - ak) @ (s - ak)) + 2.0 * Q * Q + args.n * dreg) / (
-        math.pi**2 * (1.0 + m))
-    pref *= (c1 * s2 + B) ** -0.25
-    return pref * (c1 * t2 + B) ** -0.25 / sing * np.abs(sdott) / denom
-
-
 def _envelope_tail(args: LambdaArgs, radius: float) -> float:
     """Upper bound on (2 pi/ell)^3 * sum of lambda over |t - AK| > radius,
     from the closed-form radial envelope of the kernel."""
@@ -334,38 +310,92 @@ def _envelope_tail(args: LambdaArgs, radius: float) -> float:
     return float(val)
 
 
+# box points per block of lattice_lambda_sum: its arrays stay cache-sized
+_BLOCK_POINTS = 1 << 13
+
+
 def lattice_lambda_sum(args: LambdaArgs, cutoff: float,
                        tol: float | None = None) -> LatticeSumResult:
     """(2 pi/ell)^3 times the kernel summed over the shifted lattice
     L + A*K within |t - AK| <= cutoff, with an envelope tail bound.
+
+    The index box [-nmax, nmax]^3 is walked in blocks of whole z-slabs,
+    indexed [z, x, y], of at most ``_BLOCK_POINTS`` points (one slab if a
+    slab is larger), so memory stays bounded whatever the cutoff. Squared
+    lengths are broadcast from per-axis coordinates as (x^2 + y^2) + z^2,
+    the order of a row sum over (x, y, z). s.t is one matrix-vector product
+    per slab over that slab's selected points, and each slab's kernel
+    values are summed and added to the total in slab order. The result
+    therefore does not depend on the block size.
     """
     h = 2.0 * math.pi / args.ell
+    s = np.asarray(args.s_tilde)
     K = np.asarray(args.k_vec)
-    ak = args.a_const * K
+    m, A, Q = args.m, args.a_const, args.q_mu
+    ak = A * K
     if args.delta == 0.0:
         # reject an exactly singular lattice point
         frac = ak / h - np.round(ak / h)
         if np.all(np.abs(frac) < 1e-12):
             raise DomainError(
                 "delta = 0 with A*K on the lattice: summand is singular")
+    c1, a, c4 = lambda_coefficients(m)
+    B = a * (2.0 * Q * Q + A * float(K @ K))
+    dreg = args.delta / args.ell**2
+    s2 = float(s @ s)
+    pref = (float((s - ak) @ (s - ak)) + 2.0 * Q * Q + args.n * dreg) / (
+        math.pi**2 * (1.0 + m))
+    pref *= (c1 * s2 + B) ** -0.25
+
     nmax = int(math.ceil(cutoff / h))
-    n1 = np.arange(-nmax, nmax + 1)
+    hn = np.arange(-nmax, nmax + 1) * h
+    side = hn.size
+    slab = side * side
+    step = max(1, _BLOCK_POINTS // max(slab, 1))
+    # per-axis lattice coordinates t_c and offsets t_c - AK_c
+    px, py, pz = (hn + ak[c] for c in range(3))
+    dx, dy, dz = (p - ak[c] for c, p in enumerate((px, py, pz)))
+    dz2, tz2 = dz * dz, pz * pz
+    # (x, y) tables of one slab, and of a block's worth of slabs, C order
+    dxy = ((dx * dx)[:, None] + dy * dy).ravel()
+    txy = np.tile(((px * px)[:, None] + py * py).ravel(), step)
+    xs = np.tile(np.repeat(px, side), step)
+    ys = np.tile(py, side * step)
+    c2 = cutoff * cutoff
     total = 0.0
     npts = 0
-    P1, P2 = np.meshgrid(n1, n1, indexing="ij")
-    base = np.empty((P1.size, 3))
-    base[:, 0] = P1.ravel() * h
-    base[:, 1] = P2.ravel() * h
-    for k in n1:
-        base[:, 2] = k * h
-        pts = base + ak
-        d2 = ((pts - ak) ** 2).sum(axis=1)
-        sel = d2 <= cutoff * cutoff
-        if not sel.any():
+    for z0 in range(0, side, step):
+        zs = slice(z0, z0 + step)
+        d2 = (dxy + dz2[zs, None]).ravel()
+        idx = np.flatnonzero(d2 <= c2)
+        if idx.size == 0:
             continue
-        chunk = _lambda_array(args, pts[sel])
-        total += float(chunk.sum())
-        npts += int(sel.sum())
+        sing = d2[idx]
+        sing += dreg
+        if np.any(sing <= 0):
+            raise DomainError(
+                "lattice point coincides with the singular point at delta=0")
+        nz = min(step, side - z0)
+        # [lo, hi) of each non-empty slab in the block's selected points
+        cuts = np.searchsorted(idx, slab * np.arange(nz + 1)).tolist()
+        spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+        counts = np.diff(cuts)
+        t2 = txy[idx]
+        t2 += np.repeat(tz2[zs], counts)
+        pts = np.empty((idx.size, 3))
+        pts[:, 0] = xs[idx]
+        pts[:, 1] = ys[idx]
+        pts[:, 2] = np.repeat(pz[zs], counts)
+        # one product per slab: BLAS row results can depend on the row count
+        sdott = np.empty(idx.size)
+        for lo, hi in spans:
+            sdott[lo:hi] = pts[lo:hi] @ s
+        bracket = s2 + t2 + B
+        denom = bracket * bracket - (c4 * sdott) ** 2
+        chunk = pref * (c1 * t2 + B) ** -0.25 / sing * np.abs(sdott) / denom
+        for lo, hi in spans:
+            total += float(chunk[lo:hi].sum())
+        npts += idx.size
     tail = _envelope_tail(args, cutoff)
     if tol is not None and tail > tol:
         raise AccuracyError(
@@ -377,12 +407,16 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float,
 def _hybrid_lattice_sum(args: LambdaArgs, ball_spacings: int = 28,
                         tol: float = 1e-6) -> float:
     """Lattice sum evaluated as continuum integral plus a local
-    sum-minus-integral correction near the singular point.
+    sum-minus-integral correction near the singular point: the full
+    integral, minus the integral over the sharp ball of ``ball_spacings``
+    lattice spacings around AK, plus the lattice sum over that ball.
 
-    The kernel is smooth on the lattice scale away from t = AK (its other
-    features live on the scale of max(S, K, Q), many spacings wide in the
-    regimes of interest), so the discreteness correction is localized in a
-    ball of ``ball_spacings`` lattice spacings around AK.
+    The sum-minus-integral outside the ball is dropped, and it is not
+    negligible at the 1e-5 level: it is the lattice-point discrepancy of a
+    sharp sphere, which does not decay smoothly with the radius. At
+    delta = 2, N = 10, s = (40, 0, 0), K = (0, 0, 30), Q = 25, m = 1 and
+    tol = 1e-5, this returns 0.1638070, 0.1638025 and 0.1638042 for 28, 40
+    and 56 spacings: swings of about 4e-6, not monotone in the radius.
     """
     h = 2.0 * math.pi / args.ell
     r0 = ball_spacings * h

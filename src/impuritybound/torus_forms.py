@@ -15,7 +15,6 @@ accumulation, so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ __all__ = [
     "SingularAmplitude", "TorusFormBreakdown", "l_periodic", "l_periodic_info",
     "Mollifier", "l_periodic_bruteforce", "t_dia_per", "t_off_per",
     "t_off_per_complex", "t_alpha_per", "t_tilde_vector", "g_norm_sq",
-    "rep_sing_check", "random_fermionic_amplitude", "write_sample_manifest",
+    "rep_sing_check", "random_fermionic_amplitude",
 ]
 
 
@@ -552,14 +551,3 @@ def random_fermionic_amplitude(n: int, ell: float, seed: int,
     return SingularAmplitude(n=n, ell=ell, support=support,
                              antisymmetric=(n > 1))
 
-
-def write_sample_manifest(path, seed: int, n: int, ell: float,
-                          n_terms: int, radius: int, extra=None) -> None:
-    """JSON manifest describing a random amplitude ensemble draw."""
-    doc = {"seed": int(seed), "n": int(n), "ell": float(ell),
-           "n_terms": int(n_terms), "support_radius": int(radius)}
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

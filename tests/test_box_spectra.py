@@ -126,6 +126,12 @@ def test_squared_trace_inequality_sample():
         assert out["lhs"] >= -1e-10
 
 
+def test_random_admissible_q_rejects_nonpositive_box():
+    for lbig in (0.0, -2.0, math.nan):
+        with pytest.raises(DomainError):
+            bs.random_admissible_q(lbig, mu=12.0, seed=1)
+
+
 def test_phi_sum_scaling():
     vals = [bs.phi_sum([1.0, 0.0, 0.0], mu, 3.0) / math.sqrt(mu)
             for mu in (25.0, 100.0, 400.0)]

@@ -120,3 +120,31 @@ def test_argv_parsed_once_without_config(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
     assert main(["spectrum", "--count", "3"]) == 0
     assert len(calls) == 1
+
+
+def test_config_supplies_required_flag(capsys, tmp_path, registry):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 1\n")
+    code = main(["bound", "--alpha", "-1", "--lambda-val", "0.3409",
+                 "--kappa", "1.0", "--config", str(cfg)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    from impuritybound.bounds import bound_confined
+    rep = bound_confined(1.0, 1.0, 1000, 1.0, -1.0, registry,
+                         lambda_val=0.3409)
+    assert doc["value"] == rep.value
+
+
+def test_required_flag_missing_from_flags_and_config(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 1000\n")
+    for argv in (["bound", "--alpha", "-1", "--lambda-val", "0.3409"],
+                 ["bound", "--alpha", "-1", "--lambda-val", "0.3409",
+                  "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            "impuritybound bound: error: the following arguments are "
+            "required: --m"]

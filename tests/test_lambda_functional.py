@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from impuritybound.errors import AccuracyError, DomainError, PreconditionError
 from impuritybound.kernels import lambda_coefficients
-from impuritybound.lambda_functional import (_LEVELS, _gl, _hybrid_lattice_sum,
+from impuritybound.lambda_functional import (_LEVELS, _envelope_tail, _gl,
+                                             _hybrid_lattice_sum,
                                              _lam_quad_fixed, fit_c_lambda,
                                              integrate_lambda,
                                              lattice_lambda_sum,
@@ -141,6 +143,103 @@ def test_lattice_sum_and_hybrid_agree():
     assert abs(float(hybrid) - float(direct)) <= direct.tail_bound + 1e-4
     assert direct.n_points > 0
     assert direct.tail_bound >= 0.0
+
+
+def _slab_loop_sum(args, cutoff):
+    """Reference lattice sum: one full (x, y) slab of (n, 3) points per z
+    index, row sums for the squared lengths, kernel on the selected rows."""
+    h = 2.0 * math.pi / args.ell
+    s = np.asarray(args.s_tilde)
+    K = np.asarray(args.k_vec)
+    m, A, Q = args.m, args.a_const, args.q_mu
+    ak = A * K
+    if args.delta == 0.0:
+        frac = ak / h - np.round(ak / h)
+        if np.all(np.abs(frac) < 1e-12):
+            raise DomainError(
+                "delta = 0 with A*K on the lattice: summand is singular")
+    c1, a, c4 = lambda_coefficients(m)
+    B = a * (2.0 * Q * Q + A * float(K @ K))
+    dreg = args.delta / args.ell**2
+    s2 = float(s @ s)
+    pref = (float((s - ak) @ (s - ak)) + 2.0 * Q * Q + args.n * dreg) / (
+        math.pi**2 * (1.0 + m))
+    pref *= (c1 * s2 + B) ** -0.25
+    nmax = int(math.ceil(cutoff / h))
+    n1 = np.arange(-nmax, nmax + 1)
+    P1, P2 = np.meshgrid(n1, n1, indexing="ij")
+    base = np.empty((P1.size, 3))
+    base[:, 0] = P1.ravel() * h
+    base[:, 1] = P2.ravel() * h
+    total = 0.0
+    npts = 0
+    for k in n1:
+        base[:, 2] = k * h
+        pts = base + ak
+        sel = ((pts - ak) ** 2).sum(axis=1) <= cutoff * cutoff
+        if not sel.any():
+            continue
+        pts = pts[sel]
+        d = pts - ak
+        sing = (d * d).sum(axis=1) + dreg
+        if np.any(sing <= 0):
+            raise DomainError(
+                "lattice point coincides with the singular point at delta=0")
+        t2 = (pts * pts).sum(axis=1)
+        sdott = pts @ s
+        bracket = s2 + t2 + B
+        denom = bracket * bracket - (c4 * sdott) ** 2
+        chunk = pref * (c1 * t2 + B) ** -0.25 / sing * np.abs(sdott) / denom
+        total += float(chunk.sum())
+        npts += int(sel.sum())
+    return h**3 * total, _envelope_tail(args, cutoff), npts
+
+
+def test_lattice_sum_bit_identical_to_slab_loop():
+    """The blocked, axis-factored sum returns exactly the slab loop's value,
+    point count and tail bound, and raises the same DomainError."""
+    rng = np.random.default_rng(20261019)
+    for i in range(60):
+        m = float(10.0 ** rng.uniform(math.log10(0.3), math.log10(30.0)))
+
+        def mag():
+            return float(10.0 ** rng.uniform(-1.0, 3.0))
+
+        if i % 3:
+            s = tuple(rng.standard_normal(3) * mag())
+            k = tuple(rng.standard_normal(3) * mag())
+        else:
+            s, k = (mag(), 0.0, -mag()), (0.0, 0.0, mag())
+        ell = float(rng.choice([0.5, 1.0, 1.7]))
+        # from below one spacing (slabs of 1-3 points) to many slabs a block
+        spacings = (0.4, 0.75, 1.0)[i % 3] if i < 12 else float(
+            10.0 ** rng.uniform(0.0, math.log10(28.0)))
+        cutoff = spacings * 2.0 * math.pi / ell
+        args = LambdaArgs(s_tilde=s, k_vec=k, q_mu=mag() if i % 5 else 0.0,
+                          m=m, delta=0.0 if i % 4 == 3 else mag() / 10.0,
+                          n=int(rng.integers(1, 200)), ell=ell)
+        if args.delta == 0.0:
+            # the lattice L + AK contains the singular point itself
+            with pytest.raises(DomainError) as new:
+                lattice_lambda_sum(args, cutoff)
+            with pytest.raises(DomainError) as ref:
+                _slab_loop_sum(args, cutoff)
+            assert str(new.value) == str(ref.value)
+            continue
+        res = lattice_lambda_sum(args, cutoff)
+        assert (float(res), res.tail_bound, res.n_points) == _slab_loop_sum(
+            args, cutoff)
+
+
+def test_lattice_sum_memory_bounded():
+    """A whole-box array at this cutoff would be 289^3 * 8 B = 193 MB."""
+    tracemalloc.start()
+    try:
+        lattice_lambda_sum(LambdaArgs(**LATTICE_ARGS), cutoff=900.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_lattice_sum_monotone_in_cutoff():
