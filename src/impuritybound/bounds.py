@@ -152,6 +152,11 @@ def enumerate_c_t(n_max: int, return_curve: bool = False):
     return value
 
 
+def _l_gap_envelope(row) -> float:
+    """|L^per - L| * Q_mu^2 * ell^3 of one sweep row."""
+    return abs(row["l_per"] - row["l_cont"]) * row["q_mu_sq"] * row["ell"] ** 3
+
+
 def fit_c_l_prime(rows) -> float:
     """Least envelope constant of |L^per - L| * Q_mu^2 * ell^3 over a sweep.
 
@@ -160,9 +165,7 @@ def fit_c_l_prime(rows) -> float:
     rows = list(rows)
     if not rows:
         raise PreconditionError("empty sweep")
-    vals = [abs(r["l_per"] - r["l_cont"]) * r["q_mu_sq"] * r["ell"] ** 3
-            for r in rows]
-    return max(max(vals), 1e-300)
+    return max(max(_l_gap_envelope(r) for r in rows), 1e-300)
 
 
 def sweep_l_gap(m_values=(0.3, 0.5, 1.0, 3.0, 10.0),
@@ -397,10 +400,10 @@ def _per_m_spread(rows) -> dict:
     m-dependence of the fitted constant is auditable."""
     out = {}
     for r in rows:
-        v = abs(r["l_per"] - r["l_cont"]) * r["q_mu_sq"] * r["ell"] ** 3
         key = repr(float(r["m"]))
-        out[key] = max(out.get(key, 0.0), v)
+        out[key] = max(out.get(key, 0.0), _l_gap_envelope(r))
     return out
+
 
 def build_registry(c_t_nmax: int = 1000, l_rows=None, lambda_rows=None,
                    m_star_star: float | None = None,

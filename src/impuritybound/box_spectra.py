@@ -72,6 +72,22 @@ class DirichletSpectrum:
         return sum(mult for v, mult, _ in self.levels if v <= mu)
 
 
+def _lowest_modes(count: int):
+    """Labels n in N^3 of an enumeration ball that holds the lowest
+    ``count`` modes strictly inside it, sorted by (|n|^2, n), and their
+    |n|^2. The ball doubles until its ``count``-th mode lies inside, so a
+    level inside is complete."""
+    n2_max = max(12, int((6.0 * count) ** (2.0 / 3.0)) + 16)
+    while True:
+        g = _enumerate_n2(n2_max)
+        n2 = (g * g).sum(axis=1)
+        # g is in lexicographic order, so a stable sort breaks ties by label
+        order = np.argsort(n2, kind="stable")
+        if len(g) >= count and n2[order[count - 1]] < n2_max:
+            return g[order], n2[order]
+        n2_max *= 2
+
+
 def dirichlet_levels(lbig: float, count: int) -> DirichletSpectrum:
     """The ``count`` smallest Dirichlet eigenvalues by exhaustive
     enumeration of integer triples, with certified completeness (the
@@ -80,30 +96,14 @@ def dirichlet_levels(lbig: float, count: int) -> DirichletSpectrum:
         raise PreconditionError(f"count must be >= 1, got {count}")
     if not lbig > 0:
         raise DomainError(f"box side must be positive, got {lbig}")
-    n2_max = max(12, int((6.0 * count) ** (2.0 / 3.0)) + 16)
-    while True:
-        g = _enumerate_n2(n2_max)
-        n2 = (g * g).sum(axis=1)
-        order = np.argsort(n2, kind="stable")
-        n2s = n2[order]
-        if len(n2s) >= count and n2s[count - 1] < n2_max:
-            break
-        n2_max *= 2
+    labels, n2s = _lowest_modes(count)
+    vals, first, mult = np.unique(n2s, return_index=True, return_counts=True)
+    # the levels up to the one that holds the count-th mode
+    nlev = int(np.searchsorted(np.cumsum(mult), count)) + 1
     scale = (math.pi / lbig) ** 2
-    levels = []
-    i = 0
-    total = 0
-    while i < len(n2s) and total < count:
-        j = i
-        while j < len(n2s) and n2s[j] == n2s[i]:
-            j += 1
-        if n2s[i] > n2_max - 1:
-            break
-        rep = tuple(int(c) for c in g[order[i]])
-        levels.append((scale * float(n2s[i]), j - i, rep))
-        total += j - i
-        i = j
-    return DirichletSpectrum(lbig=lbig, levels=tuple(levels))
+    levels = tuple((scale * float(v), int(k), tuple(labels[f].tolist()))
+                   for v, k, f in zip(vals[:nlev], mult[:nlev], first[:nlev]))
+    return DirichletSpectrum(lbig=lbig, levels=levels)
 
 
 def sum_lowest(lbig: float, count: int):
@@ -117,14 +117,7 @@ def sum_lowest(lbig: float, count: int):
 def basis_labels(lbig: float, count: int):
     """Integer triples of the lowest ``count`` sine modes (deterministic
     tie-break by lexicographic label order)."""
-    n2_max = max(12, int((6.0 * count) ** (2.0 / 3.0)) + 16)
-    while True:
-        g = _enumerate_n2(n2_max)
-        if len(g) >= count and sorted((g * g).sum(axis=1))[count - 1] < n2_max:
-            break
-        n2_max *= 2
-    keyed = sorted((int((t * t).sum()), tuple(int(c) for c in t)) for t in g)
-    return [t for _, t in keyed[:count]]
+    return [tuple(t) for t in _lowest_modes(count)[0][:count].tolist()]
 
 
 def rho0(x, lbig: float, mu: float):

@@ -155,11 +155,9 @@ def integrate_lambda(args: LambdaArgs, tol: float = 1e-5,
     until two consecutive levels agree within ``tol * max(1, |value|)``;
     failure raises :class:`AccuracyError` carrying the best estimate.
     """
-    if args.delta == 0.0 and args.q_mu <= 0.0:
-        S, K, _ = _args_geometry(args)
-        if S == 0.0 and K == 0.0:
-            raise DomainError("degenerate input: q_mu = delta = 0 with s = K = 0")
     S, K, psi = _args_geometry(args)
+    if args.delta == 0.0 and args.q_mu <= 0.0 and S == 0.0 and K == 0.0:
+        raise DomainError("degenerate input: q_mu = delta = 0 with s = K = 0")
     prev = None
     err = math.inf
     for nr, nth, nphi in _LEVELS:
@@ -328,6 +326,8 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float,
     values are summed and added to the total in slab order. The result
     therefore does not depend on the block size.
     """
+    if not (math.isfinite(cutoff) and cutoff >= 0):
+        raise DomainError(f"cutoff must be finite and non-negative, got {cutoff}")
     h = 2.0 * math.pi / args.ell
     s = np.asarray(args.s_tilde)
     K = np.asarray(args.k_vec)
@@ -345,7 +345,11 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float,
     s2 = float(s @ s)
     pref = (float((s - ak) @ (s - ak)) + 2.0 * Q * Q + args.n * dreg) / (
         math.pi**2 * (1.0 + m))
-    pref *= (c1 * s2 + B) ** -0.25
+    quart_s = c1 * s2 + B
+    if quart_s <= 0:
+        raise DomainError("vanishing quartic-root factor; require q_mu > 0, "
+                          "s != 0 or K != 0")
+    pref *= quart_s**-0.25
 
     nmax = int(math.ceil(cutoff / h))
     hn = np.arange(-nmax, nmax + 1) * h

@@ -7,9 +7,9 @@ converges exponentially fast. A brute-force mollified lattice-sum oracle
 (the defining limit, with a concrete smooth cutoff) is provided for
 cross-validation.
 
-Momentum tuples are stored as integer triples scaled by 2 pi / ell, and all
-form evaluations sum in a fixed lexicographic order with exact compensated
-accumulation, so results are reproducible bit-for-bit.
+Momentum tuples are stored as integer triples scaled by 2 pi / ell. Form
+evaluations reduce their terms with math.fsum, which is correctly rounded,
+so results are reproducible bit-for-bit whatever order the terms come in.
 """
 
 from __future__ import annotations
@@ -301,6 +301,54 @@ def t_dia_per(xi: SingularAmplitude, params: ModelParams) -> float:
     return meas * math.fsum(terms)
 
 
+def _pair_terms(xi_i: SingularAmplitude, xi_j: SingularAmplitude,
+                i: int, j: int, sp: float, params: ModelParams):
+    """Terms conj(xi_j) xi_i / denom of the off-diagonal form for slots
+    (i, j), i != j: one per pair of entries that share the full momentum
+    tuple (k_1 .. k_n) and the impurity momentum k0.
+
+    Entry (v0, w) of xi_i holds k_j at w[idx_j], entry (v0', w') of xi_j
+    holds k_i at w'[idx_i]. They pair exactly when their companions other
+    than k_j and k_i agree and v0 + k_j = v0' + k_i (= k0 + k_i + k_j). So
+    xi_j's entries are indexed by that key, and xi_i's entries look up
+    their partners in the order of a scan over both supports: the first
+    failing denominator is the scan's.
+    """
+    inv2m = 1.0 / (2.0 * params.m)
+    idx_i = i - 1 if i < j else i - 2
+    idx_j = j - 1 if j < i else j - 2
+
+    def key(v0, w, idx):
+        k = w[idx]
+        return w[:idx] + w[idx + 1:], tuple(v0[c] + k[c] for c in range(3))
+
+    partners = {}
+    for key_j, amp_j in xi_j.items():
+        partners.setdefault(key(key_j[0], key_j[1:], idx_i), []).append(
+            (key_j[0], amp_j))
+    for key_i, amp_i in xi_i.items():
+        v0_i, w_i = key_i[0], key_i[1:]
+        kj = w_i[idx_j]
+        for v0_j, amp_j in partners.get(key(v0_i, w_i, idx_j), ()):
+            k0 = tuple(v0_j[c] - kj[c] for c in range(3))
+            kfull = list(w_i)
+            kfull.insert(i - 1, tuple(v0_i[c] - k0[c] for c in range(3)))
+            k0v = sp * np.asarray(k0, dtype=float)
+            kv = sp * np.asarray(kfull, dtype=float)
+            denom = (inv2m * float(k0v @ k0v)
+                     + 0.5 * float((kv * kv).sum()) + params.mu)
+            if denom <= 0:
+                raise DomainError(
+                    f"resolvent denominator {denom} <= 0 at lattice "
+                    f"point k0={k0}, k={tuple(kfull)} (mu={params.mu} "
+                    "too negative)")
+            yield np.conj(amp_j) * amp_i / denom
+
+
+def _slot_pairs(n: int):
+    return ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+
+
 def t_off_per_complex(xi: SingularAmplitude, params: ModelParams) -> complex:
     """Off-diagonal singular form by exact pair enumeration, kept complex.
 
@@ -314,41 +362,13 @@ def t_off_per_complex(xi: SingularAmplitude, params: ModelParams) -> complex:
     if n == 1:
         return 0.0 + 0.0j
     sp = xi.spacing
-    inv2m = 1.0 / (2.0 * params.m)
     re_terms, im_terms = [], []
-    entries = xi.items()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            sign = (-1) ** (i + 1) * (-1) ** (j + 1)
-            idx_j = j - 1 if j < i else j - 2
-            for key_i, amp_i in entries:
-                v0_i, w_i = key_i[0], key_i[1:]
-                kj = w_i[idx_j]
-                for key_j, amp_j in entries:
-                    v0_j, w_j = key_j[0], key_j[1:]
-                    k0 = tuple(v0_j[c] - kj[c] for c in range(3))
-                    ki = tuple(v0_i[c] - k0[c] for c in range(3))
-                    # full momentum tuple (k_1 .. k_n) from slot i's view
-                    kfull = list(w_i)
-                    kfull.insert(i - 1, ki)
-                    # consistency with slot j's view
-                    khat_j = tuple(kfull[:j - 1] + kfull[j:])
-                    if khat_j != w_j:
-                        continue
-                    k0v = sp * np.asarray(k0, dtype=float)
-                    kv = sp * np.asarray(kfull, dtype=float)
-                    denom = (inv2m * float(k0v @ k0v)
-                             + 0.5 * float((kv * kv).sum()) + params.mu)
-                    if denom <= 0:
-                        raise DomainError(
-                            f"resolvent denominator {denom} <= 0 at lattice "
-                            f"point k0={k0}, k={tuple(kfull)} (mu={params.mu} "
-                            "too negative)")
-                    val = sign * np.conj(amp_j) * amp_i / denom
-                    re_terms.append(val.real)
-                    im_terms.append(val.imag)
+    for i, j in _slot_pairs(n):
+        for val in _pair_terms(xi, xi, i, j, sp, params):
+            if (i + j) % 2:
+                val = -val
+            re_terms.append(val.real)
+            im_terms.append(val.imag)
     meas = sp ** (3 * (n + 1))
     total = complex(math.fsum(re_terms), math.fsum(im_terms))
     return -meas * total / n
@@ -379,8 +399,6 @@ def off_bound_check(xi: SingularAmplitude, params: ModelParams,
     norm of the amplitude. The inequality asserts lhs >= rhs whenever the
     spectral shift is above the confinement scale.
     """
-    from .kernels import l_continuum
-
     if not 0 <= kappa < c_t:
         raise PreconditionError(f"kappa must lie in [0, c_T), got {kappa}")
     floor = -kappa * params.n ** (5.0 / 3.0) / params.ell ** 2
@@ -414,32 +432,8 @@ def t_tilde_vector(xis, params: ModelParams):
         (2.0 * params.m / (params.m + 1.0)) * params.alpha * x.norm_sq()
         for x in xis)
     dia_t = math.fsum(t_dia_per(x, params) for x in xis)
-    inv2m = 1.0 / (2.0 * params.m)
-    re_terms = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            idx_j = j - 1 if j < i else j - 2
-            for key_i, amp_i in xis[i - 1].items():
-                v0_i, w_i = key_i[0], key_i[1:]
-                kj = w_i[idx_j]
-                for key_j, amp_j in xis[j - 1].items():
-                    v0_j, w_j = key_j[0], key_j[1:]
-                    k0 = tuple(v0_j[c] - kj[c] for c in range(3))
-                    ki = tuple(v0_i[c] - k0[c] for c in range(3))
-                    kfull = list(w_i)
-                    kfull.insert(i - 1, ki)
-                    if tuple(kfull[:j - 1] + kfull[j:]) != w_j:
-                        continue
-                    k0v = sp * np.asarray(k0, dtype=float)
-                    kv = sp * np.asarray(kfull, dtype=float)
-                    denom = (inv2m * float(k0v @ k0v)
-                             + 0.5 * float((kv * kv).sum()) + params.mu)
-                    if denom <= 0:
-                        raise DomainError(
-                            f"resolvent denominator {denom} <= 0 at k0={k0}")
-                    re_terms.append((np.conj(amp_j) * amp_i / denom).real)
+    re_terms = [val.real for i, j in _slot_pairs(n) for val in
+                _pair_terms(xis[i - 1], xis[j - 1], i, j, sp, params)]
     off_t = -sp ** (3 * (n + 1)) * math.fsum(re_terms)
     return alpha_t, dia_t, off_t
 
@@ -484,7 +478,7 @@ def g_norm_sq(xi, nu: float, params: ModelParams) -> float:
     return val
 
 
-def _profile_norm_sq(xi, m):
+def _profile_norm_sq(xi):
     val, _ = _sci_integrate.quad(
         lambda r: 4.0 * math.pi * r * r * abs(xi(r)) ** 2, 0.0, np.inf, limit=200)
     return val
@@ -504,7 +498,7 @@ def rep_sing_check(xi, params: ModelParams) -> float:
         raise DomainError(f"mu must be positive, got {params.mu}")
     m, mu, alpha = params.m, params.mu, params.alpha
     c32 = (2.0 * m / (m + 1.0)) ** 1.5
-    norm = _profile_norm_sq(xi, m)
+    norm = _profile_norm_sq(xi)
 
     def dia_integrand(r):
         rad = r * r / (2.0 * (1.0 + m)) + mu

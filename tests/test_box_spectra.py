@@ -144,3 +144,48 @@ def test_shift_inequality_sign():
     lhs, rhs = bs.thm_a3_check(v, 12.0, basis_size=256)
     assert lhs <= 1e-8
     assert rhs > 0.0
+
+
+def _doubling_enumeration(count):
+    """The n2_max doubling loop that dirichlet_levels and basis_labels each
+    ran before they shared one enumerator; kept as their oracle."""
+    n2_max = max(12, int((6.0 * count) ** (2.0 / 3.0)) + 16)
+    while True:
+        g = bs._enumerate_n2(n2_max)
+        if len(g) >= count and sorted((g * g).sum(axis=1))[count - 1] < n2_max:
+            return g, n2_max
+        n2_max *= 2
+
+
+def _scan_levels(lbig, count):
+    g, n2_max = _doubling_enumeration(count)
+    n2 = (g * g).sum(axis=1)
+    order = np.argsort(n2, kind="stable")
+    n2s = n2[order]
+    levels = []
+    i = total = 0
+    while i < len(n2s) and total < count:
+        j = i
+        while j < len(n2s) and n2s[j] == n2s[i]:
+            j += 1
+        if n2s[i] > n2_max - 1:
+            break
+        rep = tuple(int(c) for c in g[order[i]])
+        levels.append(((math.pi / lbig) ** 2 * float(n2s[i]), j - i, rep))
+        total += j - i
+        i = j
+    return tuple(levels)
+
+
+def _scan_labels(count):
+    g, _ = _doubling_enumeration(count)
+    keyed = sorted((int((t * t).sum()), tuple(int(c) for c in t)) for t in g)
+    return [t for _, t in keyed[:count]]
+
+
+def test_lowest_modes_bit_identical_to_doubling_loops():
+    for count in list(range(1, 65)) + [512, 2048]:
+        for lbig in (0.7, math.pi):
+            assert bs.dirichlet_levels(lbig, count).levels == _scan_levels(
+                lbig, count)
+        assert bs.basis_labels(1.0, count) == _scan_labels(count)

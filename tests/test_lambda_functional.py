@@ -250,6 +250,22 @@ def test_lattice_sum_monotone_in_cutoff():
     assert large.tail_bound <= small.tail_bound
 
 
+def test_lattice_sum_rejects_vanishing_quartic_factor():
+    """s = K = Q = 0 with delta > 0 zeroes the prefactor's quartic root."""
+    args = LambdaArgs(s_tilde=(0.0, 0.0, 0.0), k_vec=(0.0, 0.0, 0.0),
+                      q_mu=0.0, m=1.0, delta=1.0)
+    for cutoff in (0.0, 3.0, 30.0):
+        with pytest.raises(DomainError, match="vanishing quartic-root factor"):
+            lattice_lambda_sum(args, cutoff)
+
+
+def test_lattice_sum_rejects_bad_cutoff():
+    args = LambdaArgs(**LATTICE_ARGS)
+    for cutoff in (-0.5, -10.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="cutoff"):
+            lattice_lambda_sum(args, cutoff)
+
+
 def test_fit_c_lambda_validation():
     with pytest.raises(PreconditionError):
         fit_c_lambda([{"m": 1.0, "kappa": 0.5, "n": 100, "value": 0.3,

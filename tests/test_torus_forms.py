@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -122,3 +123,130 @@ def test_negative_mu_requires_antisymmetry():
     params = ModelParams(m=1.0, mu=-0.5, n=2, ell=1.0)
     with pytest.raises(PreconditionError):
         t_dia_per(sym, params)
+
+
+def _scan_pair_terms(xi_i, xi_j, i, j, params):
+    """The full |supp|^2 scan that the off-diagonal forms used before the
+    keyed matcher: every entry pair, kept when slot j's view of the full
+    momentum tuple agrees. Kept as an oracle for the matcher."""
+    sp = xi_i.spacing
+    inv2m = 1.0 / (2.0 * params.m)
+    idx_j = j - 1 if j < i else j - 2
+    for key_i, amp_i in xi_i.items():
+        v0_i, w_i = key_i[0], key_i[1:]
+        kj = w_i[idx_j]
+        for key_j, amp_j in xi_j.items():
+            v0_j, w_j = key_j[0], key_j[1:]
+            k0 = tuple(v0_j[c] - kj[c] for c in range(3))
+            ki = tuple(v0_i[c] - k0[c] for c in range(3))
+            kfull = list(w_i)
+            kfull.insert(i - 1, ki)
+            if tuple(kfull[:j - 1] + kfull[j:]) != w_j:
+                continue
+            k0v = sp * np.asarray(k0, dtype=float)
+            kv = sp * np.asarray(kfull, dtype=float)
+            denom = (inv2m * float(k0v @ k0v)
+                     + 0.5 * float((kv * kv).sum()) + params.mu)
+            if denom <= 0:
+                raise DomainError(
+                    f"resolvent denominator {denom} <= 0 at lattice "
+                    f"point k0={k0}, k={tuple(kfull)} (mu={params.mu} "
+                    "too negative)")
+            yield (-1) ** (i + j), np.conj(amp_j) * amp_i / denom
+
+
+def _scan_slots(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def _scan_t_off_complex(xi, params):
+    n = xi.n
+    if n == 1:
+        return 0.0 + 0.0j
+    vals = [sign * val for i, j in _scan_slots(n)
+            for sign, val in _scan_pair_terms(xi, xi, i, j, params)]
+    total = complex(math.fsum(v.real for v in vals),
+                    math.fsum(v.imag for v in vals))
+    return -xi.spacing ** (3 * (n + 1)) * total / n
+
+
+def _scan_off_tilde(xis, params):
+    n = params.n
+    re_terms = [val.real for i, j in _scan_slots(n)
+                for _, val in _scan_pair_terms(xis[i - 1], xis[j - 1], i, j,
+                                               params)]
+    return -xis[0].spacing ** (3 * (n + 1)) * math.fsum(re_terms)
+
+
+def test_off_forms_bit_identical_to_full_scan():
+    """The keyed pair matcher returns exactly the full scan's values: the
+    complex fermionic form (mu < 0 included) and the vector form over
+    alternating replicas and over unrelated amplitudes."""
+    from impuritybound.torus_forms import t_off_per_complex
+
+    rng = np.random.default_rng(20261018)
+    for case in range(10):
+        n = 1 + case % 5
+        ell = float(rng.choice([0.7, 1.0, 1.3]))
+        m = float(rng.choice([0.4, 1.0, 3.0]))
+        n_terms = 2 if n == 5 else 3
+        seed = int(rng.integers(10**6))
+        xi = random_fermionic_amplitude(n, ell=ell, seed=seed, n_terms=n_terms)
+        for mu in (1.5, -0.5) if xi.antisymmetric else (1.5,):
+            params = ModelParams(m=m, mu=mu, n=n, ell=ell)
+            assert t_off_per_complex(xi, params) == _scan_t_off_complex(
+                xi, params)
+        if n > 4:
+            continue
+        params = ModelParams(m=m, mu=2.0, n=n, ell=ell)
+        replicas = [SingularAmplitude(n=n, ell=ell, antisymmetric=xi.antisymmetric,
+                                      support={k: (-1) ** q * a
+                                               for k, a in xi.items()})
+                    for q in range(n)]
+        # same support as xi, independent values: not replicas, same pairs
+        others = [SingularAmplitude(n=n, ell=ell, support={
+            k: complex(*rng.standard_normal(2)) for k in xi.support})
+            for _ in range(n)]
+        for xis in (replicas, others):
+            assert t_tilde_vector(xis, params)[2] == _scan_off_tilde(xis, params)
+
+
+def test_off_forms_bit_identical_on_generic_supports():
+    """Entries drawn independently from a small label cube, so that pairs
+    also form between entries that are not permutations of one another
+    (where k_i != k_j)."""
+    from impuritybound.torus_forms import t_off_per_complex
+
+    rng = np.random.default_rng(7)
+    labels = list(itertools.product((-1, 0, 1), repeat=3))
+    for n, size in ((2, 30), (3, 60), (4, 60)):
+        def draw():
+            return SingularAmplitude(n=n, ell=1.0, support={
+                tuple(labels[c] for c in rng.integers(27, size=n)):
+                complex(*rng.standard_normal(2)) for _ in range(size)})
+        params = ModelParams(m=0.7, mu=0.8, n=n, ell=1.0)
+        xi = draw()
+        assert t_off_per_complex(xi, params) == _scan_t_off_complex(xi, params)
+        if n < 4:
+            xis = [draw() for _ in range(n)]
+            assert t_tilde_vector(xis, params)[2] == _scan_off_tilde(
+                xis, params)
+
+
+def test_off_forms_reject_nonpositive_resolvent():
+    """mu = -100 drives a resolvent denominator below zero: the
+    per-particle form raises the full scan's DomainError, and so does the
+    vector form (from its diagonal part, whose radicand is no larger)."""
+    from impuritybound.torus_forms import t_off_per_complex
+
+    xi = random_fermionic_amplitude(2, ell=1.0, seed=1)
+    params = ModelParams(m=1.0, mu=-100.0, n=2, ell=1.0)
+    with pytest.raises(DomainError) as ref:
+        _scan_t_off_complex(xi, params)
+    with pytest.raises(DomainError) as new:
+        t_off_per_complex(xi, params)
+    assert str(new.value) == str(ref.value)
+    replicas = [xi, SingularAmplitude(n=2, ell=1.0, antisymmetric=True,
+                                      support={k: -a for k, a in xi.items()})]
+    with pytest.raises(DomainError):
+        t_tilde_vector(replicas, params)
