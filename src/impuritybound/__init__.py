@@ -6,14 +6,14 @@ localization geometry, and assembled energy lower bounds.
 
 from .errors import (AccuracyError, DomainError, NumericError,
                      PreconditionError, SearchError, StabilityRegimeError)
-from .params import (LambdaArgs, LambdaResult, LatticeSpec, ModelParams,
-                     ShiftedLattice, SupSearchConfig, default_a_const)
+from .params import (LambdaArgs, LambdaResult, ModelParams, ShiftedLattice,
+                     SupSearchConfig, default_a_const)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "DomainError", "NumericError", "PreconditionError",
     "SearchError", "StabilityRegimeError", "LambdaArgs", "LambdaResult",
-    "LatticeSpec", "ModelParams", "ShiftedLattice", "SupSearchConfig",
+    "ModelParams", "ShiftedLattice", "SupSearchConfig",
     "default_a_const", "__version__",
 ]

@@ -3,8 +3,8 @@
 The registry stores every calibrated constant with its provenance
 (enumerated, fitted, measured, paper-fixed, sourced) and the manifest of
 the sweep that produced it; the bound calculators are pure arithmetic in
-the registry values plus the stability functional, and emit deterministic
-reports.
+the registry values and a given value of the stability functional
+Lambda(m), and emit deterministic reports.
 """
 
 from __future__ import annotations
@@ -225,27 +225,23 @@ class BoundReport:
         return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def _lambda_value(m: float, registry: ConstantsRegistry,
-                  lambda_val: float | None) -> float:
-    if lambda_val is not None:
-        if lambda_val < 0:
-            raise DomainError(f"lambda value must be >= 0, got {lambda_val}")
-        return float(lambda_val)
-    from .lambda_functional import lambda_of_m
-    return lambda_of_m(m, SupSearchConfig()).value
+def _lambda_value(lambda_val: float) -> float:
+    if lambda_val < 0:
+        raise DomainError(f"lambda value must be >= 0, got {lambda_val}")
+    return float(lambda_val)
 
 
 def kappa_default(m: float, registry: ConstantsRegistry,
-                  lambda_val: float | None = None) -> float:
+                  lambda_val: float) -> float:
     """Half-way confinement weight kappa = c_T (1 - Lambda(m)) / 2."""
-    lam = _lambda_value(m, registry, lambda_val)
+    lam = _lambda_value(lambda_val)
     if lam >= 1.0:
         raise StabilityRegimeError(
             f"Lambda(m) = {lam} >= 1: no stable kappa exists")
     return registry.value("c_t") * (1.0 - lam) / 2.0
 
 
-def _check_cond_kappa(m, kappa, lam, c_t):
+def _check_cond_kappa(kappa, lam, c_t):
     if not 0 <= kappa < c_t:
         raise PreconditionError(
             f"kappa must lie in [0, c_T) = [0, {c_t}), got {kappa}")
@@ -256,12 +252,12 @@ def _check_cond_kappa(m, kappa, lam, c_t):
 
 
 def n_zero(m: float, kappa: float, registry: ConstantsRegistry,
-           lambda_val: float | None = None) -> float:
+           lambda_val: float) -> float:
     """Particle-number threshold above which the lattice functional is
     close enough to its continuum limit for the confined bound."""
-    lam = _lambda_value(m, registry, lambda_val)
+    lam = _lambda_value(lambda_val)
     c_t = registry.value("c_t")
-    _check_cond_kappa(m, kappa, lam, c_t)
+    _check_cond_kappa(kappa, lam, c_t)
     c_lam = registry.value("c_lambda")
     base = (1.0 - kappa / c_t - lam) * m * (1.0 - kappa / c_t) ** 2 / c_lam
     return base ** (-4.5)
@@ -269,11 +265,11 @@ def n_zero(m: float, kappa: float, registry: ConstantsRegistry,
 
 def mu_star(m: float, kappa: float, n: int, ell: float, alpha: float,
             registry: ConstantsRegistry,
-            lambda_val: float | None = None) -> float:
+            lambda_val: float) -> float:
     """Optimizing spectral shift of the confined bound."""
-    lam = _lambda_value(m, registry, lambda_val)
+    lam = _lambda_value(lambda_val)
     c_t = registry.value("c_t")
-    _check_cond_kappa(m, kappa, lam, c_t)
+    _check_cond_kappa(kappa, lam, c_t)
     c_lp = registry.value("c_l_prime")
     c_lam = registry.value("c_lambda")
     one = 1.0 - kappa / c_t
@@ -306,12 +302,12 @@ def bound_unconfined(m: float, alpha: float, lambda_val: float) -> float:
 
 def bound_confined(m: float, kappa: float, n: int, ell: float, alpha: float,
                    registry: ConstantsRegistry,
-                   lambda_val: float | None = None) -> BoundReport:
+                   lambda_val: float) -> BoundReport:
     """Lower bound for n fermions plus the impurity in a box of side ell,
     with confinement weight kappa."""
-    lam = _lambda_value(m, registry, lambda_val)
+    lam = _lambda_value(lambda_val)
     c_t = registry.value("c_t")
-    _check_cond_kappa(m, kappa, lam, c_t)
+    _check_cond_kappa(kappa, lam, c_t)
     nz = n_zero(m, kappa, registry, lambda_val=lam)
     if not n > nz:
         raise PreconditionError(
@@ -342,7 +338,7 @@ def bound_confined(m: float, kappa: float, n: int, ell: float, alpha: float,
 
 def bound_main(m: float, n: int, lbig: float, alpha: float,
                registry: ConstantsRegistry, fitted_const: float,
-               lambda_val: float | None = None) -> BoundReport:
+               lambda_val: float) -> BoundReport:
     """Thermodynamic-shape lower bound: the free Dirichlet energy minus a
     density and coupling correction that is bounded independently of n.
 
@@ -350,7 +346,7 @@ def bound_main(m: float, n: int, lbig: float, alpha: float,
     principles here; it must be supplied (registry provenance "fitted"),
     never invented.
     """
-    lam = _lambda_value(m, registry, lambda_val)
+    lam = _lambda_value(lambda_val)
     if lam >= 1.0:
         raise StabilityRegimeError(
             f"Lambda = {lam} >= 1: outside the stability regime")

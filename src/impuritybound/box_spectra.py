@@ -236,6 +236,8 @@ def galerkin_spectrum(v: PotentialGrid, basis_size: int) -> np.ndarray:
     evaluated in one DCT of the grid; variational upper bounds to the true
     eigenvalues, monotone non-increasing in basis_size.
     """
+    if basis_size < 1:
+        raise PreconditionError(f"basis_size must be >= 1, got {basis_size}")
     labels = basis_labels(v.lbig, basis_size)
     nmax = max(max(t) for t in labels)
     if 2 * nmax >= v.n_grid:
@@ -273,7 +275,7 @@ def lt_gap_check(v: PotentialGrid, count: int, basis_size: int = 512):
     if basis_size < count:
         raise PreconditionError(
             f"basis_size {basis_size} smaller than requested count {count}")
-    e_free = float(dirichlet_levels(v.lbig, count).eigenvalues(count).sum())
+    e_free = sum_lowest(v.lbig, count)[0]
     vals = galerkin_spectrum(v, basis_size)
     e_pot = float(np.sort(vals)[:count].sum())
     gap = e_free - e_pot

@@ -126,17 +126,21 @@ def cmd_bound(args):
     from .bounds import (bound_confined, bound_main, bound_unconfined,
                          kappa_default)
     reg = _registry(args)
+    if args.kind == "main" and (args.lbig is None or args.const is None):
+        raise DomainError("--kind main requires --lbig and --const")
+    lam = args.lambda_val
+    if lam is None and args.kind != "unconfined":
+        from .lambda_functional import lambda_of_m
+        lam = lambda_of_m(args.m, SupSearchConfig()).value
     if args.kind == "confined":
         kappa = args.kappa
         if kappa is None:
-            kappa = kappa_default(args.m, reg, lambda_val=args.lambda_val)
+            kappa = kappa_default(args.m, reg, lambda_val=lam)
         report = bound_confined(args.m, kappa, args.n, args.ell, args.alpha,
-                                reg, lambda_val=args.lambda_val)
+                                reg, lambda_val=lam)
     elif args.kind == "main":
-        if args.lbig is None or args.const is None:
-            raise DomainError("--kind main requires --lbig and --const")
         report = bound_main(args.m, args.n, args.lbig, args.alpha, reg,
-                            args.const, lambda_val=args.lambda_val)
+                            args.const, lambda_val=lam)
     else:
         if args.lambda_val is None:
             raise DomainError("--kind unconfined requires --lambda-val")

@@ -96,8 +96,7 @@ def s_function(rho: float, mu: float) -> float:
         raise DomainError(f"rho must be non-negative, got {rho}")
     if mu <= 0:
         raise DomainError(f"mu must be positive, got {mu}")
-    val = (mu**1.5 + rho) ** (5.0 / 3.0) - mu**2.5 - (5.0 / 3.0) * mu * rho
-    return max(val, 0.0)
+    return float(s_function_arr(rho, mu))
 
 
 def s_function_arr(rho, mu: float):

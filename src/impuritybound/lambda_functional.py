@@ -2,11 +2,11 @@
 critical mass, and the lattice analogue with its sum-vs-integral gap.
 
 The kernel is homogeneous of degree -3 under simultaneous scaling of
-(s_tilde, Q, K, t_tilde), so the supremum search fixes one magnitude to 1
-(the "gauge") and scans the remaining two magnitudes and the angle between
-s_tilde and K. All integrals use tensorized Gauss-Legendre quadrature in
-spherical coordinates centered at the kernel's singular point A*K, where
-the 1/(t-AK)^2 factor is cancelled by the Jacobian.
+(s_tilde, Q, K, t_tilde), so the supremum search fixes |s_tilde| = 1
+(the "gauge") and scans |K|, Q and the angle between s_tilde and K. All
+integrals use tensorized Gauss-Legendre quadrature in spherical
+coordinates centered at the kernel's singular point A*K, where the
+1/(t-AK)^2 factor is cancelled by the Jacobian.
 """
 
 from __future__ import annotations
@@ -182,30 +182,23 @@ def _fold_angle(psi: float) -> float:
 def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaResult:
     """Supremum over (s_tilde, K, Q_mu) of the lambda integral.
 
-    Coarse log-grid scan under the scaling gauge, followed by Nelder-Mead
+    Coarse log-grid scan of (|K|, Q) over [1e-3, 1e3]^2 and of the angle,
+    under the scaling gauge |s_tilde| = 1, followed by Nelder-Mead
     refinement from the best ``cfg.n_starts`` grid cells.
     """
     if not m > 0:
         raise DomainError(f"mass ratio must be positive, got m={m}")
     A = default_a_const(m)
 
-    def magnitudes(u, v):
-        # map the two free log-magnitudes to (S, K, Q) per the gauge
-        if cfg.gauge == "s_tilde":
-            return 1.0, 10.0**u, 10.0**v      # S, K, Q
-        if cfg.gauge == "q_mu":
-            return 10.0**u, 10.0**v, 1.0
-        return 10.0**u, 1.0, 10.0**v           # gauge k_vec: S, Q free
-
     def value(u, v, psi, level):
-        S, K, Q = magnitudes(u, v)
+        S, K, Q = 1.0, 10.0**u, 10.0**v
         try:
             return _lam_quad_fixed(m, A, S, K, psi, Q, 0.0, 1, 1.0,
                                    *_LEVELS[level])
         except DomainError:
             return 0.0
 
-    grid = np.linspace(cfg.log_lo, cfg.log_hi, cfg.n_magnitude)
+    grid = np.linspace(-3.0, 3.0, cfg.n_magnitude)
     angles = np.linspace(0.0, math.pi, cfg.n_angle)
     cells = []
     for u in grid:
@@ -227,7 +220,7 @@ def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaRes
                          maxiter=cfg.refine_maxiter))
         if -res.fun > best_val:
             best_val, best_x = -res.fun, res.x
-    S, K, Q = magnitudes(best_x[0], best_x[1])
+    S, K, Q = 1.0, 10.0**best_x[0], 10.0**best_x[1]
     psi = _fold_angle(best_x[2])
     # certify the best point at the accuracy ladder
     final, err_quad = integrate_lambda(
@@ -238,7 +231,7 @@ def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaRes
     return LambdaResult(
         value=max(final, 0.0),
         argmax={"s_tilde": S, "k_vec": K, "angle": psi, "q_mu": Q,
-                "gauge": cfg.gauge},
+                "gauge": "s_tilde"},
         err_quad=err_quad, err_search=err_search)
 
 

@@ -81,9 +81,6 @@ class ShiftedLattice:
         return pts[d2 <= radius**2]
 
 
-LatticeSpec = ShiftedLattice
-
-
 @dataclass(frozen=True)
 class LambdaArgs:
     """Arguments of the lambda kernel other than the integration variable."""
@@ -112,34 +109,24 @@ class LambdaArgs:
             object.__setattr__(self, "a_const", default_a_const(self.m))
 
 
-_GAUGES = ("q_mu", "s_tilde", "k_vec")
-
-
 @dataclass(frozen=True)
 class SupSearchConfig:
     """Controls for the supremum search behind the stability functional.
 
-    ``gauge`` names the parameter pinned to 1 by the kernel's scaling
-    freedom; the remaining two magnitudes are scanned on a log grid over
-    [10**log_lo, 10**log_hi] and the angle between s_tilde and K on a
-    uniform grid, followed by derivative-free refinement from the best
-    ``n_starts`` cells.
+    The kernel's scaling freedom pins |s_tilde| to 1; |K| and Q_mu are
+    scanned on ``n_magnitude`` log-spaced values over [1e-3, 1e3] and the
+    angle between s_tilde and K on ``n_angle`` uniform values, followed by
+    derivative-free refinement from the best ``n_starts`` cells.
     """
 
-    gauge: str = "s_tilde"
     n_magnitude: int = 9
     n_angle: int = 7
-    log_lo: float = -3.0
-    log_hi: float = 3.0
     n_starts: int = 5
     refine_maxiter: int = 250
     quad_tol: float = 1e-5
     m_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.gauge not in _GAUGES:
-            raise PreconditionError(
-                f"gauge must be one of {_GAUGES}, got {self.gauge!r}")
         if not (self.quad_tol > 0 and self.m_tol > 0):
             raise PreconditionError("tolerances must be positive")
 

@@ -93,6 +93,13 @@ def test_galerkin_aliasing_guard():
         bs.galerkin_spectrum(v, 512)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_galerkin_rejects_nonpositive_basis_size(size):
+    v = bs.PotentialGrid(lbig=1.0, values=np.zeros((16, 16, 16)))
+    with pytest.raises(PreconditionError, match="basis_size"):
+        bs.galerkin_spectrum(v, size)
+
+
 def test_potential_grid_validation():
     with pytest.raises(DomainError):
         bs.PotentialGrid(lbig=1.0, values=np.zeros((4, 5, 6)))

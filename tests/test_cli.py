@@ -48,6 +48,29 @@ def test_bound_command_matches_library(capsys, registry):
     assert doc["registry_hash"] == registry.content_hash()
 
 
+def test_bound_searches_lambda_once(monkeypatch, capsys):
+    from impuritybound import lambda_functional
+    from impuritybound.params import LambdaResult
+    calls = []
+
+    def counting(m, cfg):
+        calls.append((m, cfg))
+        return LambdaResult(value=0.3409)
+
+    monkeypatch.setattr(lambda_functional, "lambda_of_m", counting)
+    for argv in (["bound", "--m", "1", "--n", "1000", "--ell", "1",
+                  "--alpha", "-1"],
+                 ["bound", "--kind", "main", "--m", "1", "--n", "64",
+                  "--lbig", "4", "--alpha", "-1", "--const", "2"]):
+        calls.clear()
+        assert main(argv) == 0
+        searched = capsys.readouterr().out
+        assert len(calls) == 1
+        assert main(argv + ["--lambda-val", "0.3409"]) == 0
+        assert len(calls) == 1
+        assert searched == capsys.readouterr().out
+
+
 def test_bound_precondition_exit_code(capsys):
     # kappa above c_T fails the stability precondition
     code = main(["bound", "--m", "1", "--n", "1000", "--ell", "1",

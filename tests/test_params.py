@@ -42,8 +42,9 @@ def test_lambda_args_fills_a_const():
 
 
 def test_sup_search_config_gauge():
-    with pytest.raises(PreconditionError):
-        SupSearchConfig(gauge="bogus")
+    # the search always fixes |s_tilde| = 1; there is no gauge knob
+    with pytest.raises(TypeError):
+        SupSearchConfig(gauge="s_tilde")
     with pytest.raises(PreconditionError):
         SupSearchConfig(quad_tol=0.0)
 
