@@ -102,8 +102,13 @@ class ConstantsRegistry:
 
     @classmethod
     def load(cls, path) -> "ConstantsRegistry":
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read registry {path}: {exc}") from exc
+        if not (isinstance(doc, dict) and "constants" in doc):
+            raise DomainError(f"{path} holds no registry 'constants'")
         return cls(constants=doc["constants"], created=doc.get("created"),
                    schema_version=doc.get("schema_version", _SCHEMA_VERSION))
 
@@ -176,7 +181,7 @@ def sweep_l_gap(m_values=(0.3, 0.5, 1.0, 3.0, 10.0),
     masses, spectral shifts, box sides and lattice momenta; rows feed
     fit_c_l_prime."""
     from .kernels import l_continuum
-    from .torus_forms import l_periodic_info
+    from .torus_forms import l_periodic
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -190,7 +195,7 @@ def sweep_l_gap(m_values=(0.3, 0.5, 1.0, 3.0, 10.0),
                     khat_sq = float((khat * khat).sum())
                     params = ModelParams(m=m, mu=mu, ell=ell, n=3)
                     kvec = np.vstack([k1, khat])
-                    l_per = l_periodic_info(params, kvec)[0]
+                    l_per = l_periodic(params, kvec)
                     l_cont = l_continuum(params, k1, khat_sq)
                     rows.append({
                         "m": m, "mu": mu, "ell": ell,
@@ -215,14 +220,14 @@ class BoundReport:
     intermediates: dict = field(default_factory=dict)
     value: float = 0.0
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "kind": self.kind, "inputs": self.inputs,
             "registry_hash": self.registry_hash,
             "intermediates": self.intermediates, "value": self.value,
             "version": __version__,
         }
-        return json.dumps(doc, indent=indent, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _lambda_value(lambda_val: float) -> float:
@@ -231,9 +236,17 @@ def _lambda_value(lambda_val: float) -> float:
     return float(lambda_val)
 
 
+def _require_positive(**values):
+    """DomainError unless every given mass ratio or box side is > 0."""
+    for name, v in values.items():
+        if not v > 0:
+            raise DomainError(f"{name} must be positive, got {v}")
+
+
 def kappa_default(m: float, registry: ConstantsRegistry,
                   lambda_val: float) -> float:
     """Half-way confinement weight kappa = c_T (1 - Lambda(m)) / 2."""
+    _require_positive(m=m)
     lam = _lambda_value(lambda_val)
     if lam >= 1.0:
         raise StabilityRegimeError(
@@ -255,6 +268,7 @@ def n_zero(m: float, kappa: float, registry: ConstantsRegistry,
            lambda_val: float) -> float:
     """Particle-number threshold above which the lattice functional is
     close enough to its continuum limit for the confined bound."""
+    _require_positive(m=m)
     lam = _lambda_value(lambda_val)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
@@ -267,6 +281,7 @@ def mu_star(m: float, kappa: float, n: int, ell: float, alpha: float,
             registry: ConstantsRegistry,
             lambda_val: float) -> float:
     """Optimizing spectral shift of the confined bound."""
+    _require_positive(m=m, ell=ell)
     lam = _lambda_value(lambda_val)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
@@ -289,15 +304,15 @@ def mu_star(m: float, kappa: float, n: int, ell: float, alpha: float,
 def bound_unconfined(m: float, alpha: float, lambda_val: float) -> float:
     """N-independent lower bound: zero for non-negative coupling, else the
     negative-coupling well depth."""
-    if not m > 0:
-        raise DomainError(f"mass ratio must be positive, got {m}")
-    if lambda_val >= 1.0:
+    _require_positive(m=m)
+    lam = _lambda_value(lambda_val)
+    if lam >= 1.0:
         raise StabilityRegimeError(
-            f"Lambda = {lambda_val} >= 1: outside the stability regime")
+            f"Lambda = {lam} >= 1: outside the stability regime")
     if alpha >= 0.0:
         return 0.0
     return -(m + 1.0) / (2.0 * m) * (
-        alpha / (2.0 * math.pi ** 2 * (1.0 - lambda_val))) ** 2
+        alpha / (2.0 * math.pi ** 2 * (1.0 - lam))) ** 2
 
 
 def bound_confined(m: float, kappa: float, n: int, ell: float, alpha: float,
@@ -305,6 +320,7 @@ def bound_confined(m: float, kappa: float, n: int, ell: float, alpha: float,
                    lambda_val: float) -> BoundReport:
     """Lower bound for n fermions plus the impurity in a box of side ell,
     with confinement weight kappa."""
+    _require_positive(m=m, ell=ell)
     lam = _lambda_value(lambda_val)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
@@ -346,6 +362,7 @@ def bound_main(m: float, n: int, lbig: float, alpha: float,
     principles here; it must be supplied (registry provenance "fitted"),
     never invented.
     """
+    _require_positive(m=m, lbig=lbig)
     lam = _lambda_value(lambda_val)
     if lam >= 1.0:
         raise StabilityRegimeError(

@@ -224,9 +224,9 @@ class PotentialGrid:
         if np.any(self.values > 1e-14):
             raise PreconditionError("potential must be non-positive")
 
-    def integral(self, power: float = 1.0, absolute: bool = True) -> float:
-        v = np.abs(self.values) if absolute else self.values
-        return float((v ** power).sum()) * self.h**3
+    def integral(self, power: float = 1.0) -> float:
+        """Integral of |V|^power over the box."""
+        return float((np.abs(self.values) ** power).sum()) * self.h**3
 
 
 def galerkin_spectrum(v: PotentialGrid, basis_size: int) -> np.ndarray:
@@ -348,13 +348,12 @@ class FiniteRankPerturbation:
         return (self.level_values() <= self.mu).astype(float)
 
 
-def thm_a1_check(q: FiniteRankPerturbation, k_tilde: float = 1.0,
-                 eta: float = 1.0, n_grid: int = 48):
+def thm_a1_check(q: FiniteRankPerturbation, eta: float = 1.0):
     """Trace data for the positive-density inequality.
 
-    Returns a dict with lhs = tr(-Delta-mu)Q, rhs_integral = K-tilde times
-    the integral of S((|rho_Q| - eta mu/L)_+), and lemma_lhs =
-    tr(|-Delta-mu| Q^2) which must not exceed lhs.
+    Returns a dict with lhs = tr(-Delta-mu)Q, rhs_integral = the integral
+    of S((|rho_Q| - eta mu/L)_+) on a 48^3 cell-centered grid, and
+    lemma_lhs = tr(|-Delta-mu| Q^2) which must not exceed lhs.
     """
     if q.mu < 3.0 * math.pi**2 / q.lbig**2:
         raise PreconditionError("mu below the lowest Dirichlet level")
@@ -364,6 +363,7 @@ def thm_a1_check(q: FiniteRankPerturbation, k_tilde: float = 1.0,
     q2 = q.matrix @ q.matrix
     lemma_lhs = float((np.abs(shifted) * np.diag(q2)).sum())
     # density of Q on the grid
+    n_grid = 48
     ax = (np.arange(n_grid) + 0.5) * q.lbig / n_grid
     lab = np.asarray(q.labels)
     # sine mode values on the 1D axis for each label component
@@ -380,7 +380,7 @@ def thm_a1_check(q: FiniteRankPerturbation, k_tilde: float = 1.0,
     dens = dens.reshape(n_grid, n_grid, n_grid)
     arg = np.maximum(np.abs(dens) - eta * q.mu / q.lbig, 0.0)
     integ = float(s_function_arr(arg, q.mu).sum()) * (q.lbig / n_grid) ** 3
-    return {"lhs": lhs, "rhs_integral": k_tilde * integ,
+    return {"lhs": lhs, "rhs_integral": integ,
             "lemma_lhs": lemma_lhs}
 
 
@@ -410,14 +410,13 @@ def phi_sum(k, mu: float, lbig: float) -> float:
 # ---------------------------------------------------------------------------
 # random ensembles
 
-def random_admissible_q(lbig: float, mu: float, seed: int,
-                        n_above: int = 12, scale: float = 0.6
+def random_admissible_q(lbig: float, mu: float, seed: int
                         ) -> FiniteRankPerturbation:
     """Random admissible finite-rank perturbation of the Fermi sea.
 
-    Basis: all modes below mu plus the lowest ``n_above`` modes above.
-    A random symmetric contraction is projected into the admissible set by
-    clipping the eigenvalues of Q + P to [0, 1].
+    Basis: all modes below mu plus the lowest 12 modes above. A random
+    symmetric matrix of spectral radius 0.6 is projected into the
+    admissible set by clipping the eigenvalues of Q + P to [0, 1].
     """
     if not lbig > 0:
         raise DomainError(f"box side must be positive, got {lbig}")
@@ -426,6 +425,7 @@ def random_admissible_q(lbig: float, mu: float, seed: int,
     lab_below = [tuple(int(c) for c in t) for t in _enumerate_n2(n2_mu)]
     if not lab_below:
         raise PreconditionError("mu below the lowest Dirichlet level")
+    n_above = 12
     all_lab = basis_labels(lbig, len(lab_below) + n_above)
     vals = (math.pi / lbig) ** 2 * (np.asarray(all_lab) ** 2).sum(axis=1)
     labels = [t for t, v in zip(all_lab, vals) if v <= mu]
@@ -434,7 +434,7 @@ def random_admissible_q(lbig: float, mu: float, seed: int,
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((nb, nb))
     a = (a + a.T) / 2.0
-    a *= scale / max(np.abs(np.linalg.eigvalsh(a)).max(), 1e-12)
+    a *= 0.6 / max(np.abs(np.linalg.eigvalsh(a)).max(), 1e-12)
     pi_m = ((math.pi / lbig) ** 2
             * (np.asarray(labels) ** 2).sum(axis=1) <= mu).astype(float)
     evs, vecs = np.linalg.eigh(a + np.diag(pi_m))
@@ -446,15 +446,15 @@ def random_admissible_q(lbig: float, mu: float, seed: int,
 
 
 def random_smooth_potential(lbig: float, seed: int, depth: float = 1.0,
-                            n_grid: int = 64, n_bumps: int = 4
-                            ) -> PotentialGrid:
-    """Random smooth non-positive potential: a sum of negative Gaussian
-    bumps with centers and widths drawn reproducibly from the seed."""
+                            n_grid: int = 64) -> PotentialGrid:
+    """Random smooth non-positive potential: a sum of four negative
+    Gaussian bumps with centers and widths drawn reproducibly from the
+    seed."""
     rng = np.random.default_rng(seed)
     ax = (np.arange(n_grid) + 0.5) * lbig / n_grid
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
     v = np.zeros_like(X)
-    for _ in range(n_bumps):
+    for _ in range(4):
         cx, cy, cz = rng.uniform(0.2 * lbig, 0.8 * lbig, size=3)
         w = rng.uniform(0.08 * lbig, 0.25 * lbig)
         amp = depth * rng.uniform(0.3, 1.0)

@@ -64,13 +64,6 @@ def _emit(args, name: str, payload: dict, registry_hash: str | None = None):
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _registry(args):
-    from .bounds import ConstantsRegistry, default_registry
-    if getattr(args, "registry", None):
-        return ConstantsRegistry.load(args.registry)
-    return default_registry()
-
-
 def _search_config(args) -> SupSearchConfig:
     kw = {}
     if getattr(args, "tol", None) is not None:
@@ -123,9 +116,10 @@ def cmd_calibrate(args):
 
 
 def cmd_bound(args):
-    from .bounds import (bound_confined, bound_main, bound_unconfined,
-                         kappa_default)
-    reg = _registry(args)
+    from .bounds import (ConstantsRegistry, bound_confined, bound_main,
+                         bound_unconfined, default_registry, kappa_default)
+    reg = (ConstantsRegistry.load(args.registry) if args.registry
+           else default_registry())
     if args.kind == "main" and (args.lbig is None or args.const is None):
         raise DomainError("--kind main requires --lbig and --const")
     lam = args.lambda_val
@@ -173,6 +167,10 @@ def _ltcheck_one(task):
 
 
 def cmd_ltcheck(args):
+    if args.count < 1:
+        raise PreconditionError(f"count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise DomainError(f"seed must be non-negative, got {args.seed}")
     tasks = [(args.seed + i, args.n, args.mu, args.lbig, args.depth,
               args.grid, args.basis) for i in range(args.count)]
     if args.jobs > 1:
@@ -213,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value configuration file; "
                                          "command-line flags win")
     common.add_argument("--out", help="output directory for JSON + manifest")
-    common.add_argument("--registry", help="path to a constants registry")
-    common.add_argument("--seed", type=int, default=20260823,
-                        help="ensemble seed (64-bit integer)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for ensemble commands")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("lambda", parents=[common],
@@ -257,10 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fitted overall constant for --kind main")
     sp.add_argument("--lambda-val", type=float,
                     help="reuse a precomputed functional value")
+    sp.add_argument("--registry", help="path to a constants registry")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("ltcheck", parents=[common],
                         help="run the trace-inequality check suites")
+    sp.add_argument("--seed", type=int, default=20260823,
+                    help="ensemble seed (64-bit integer)")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes")
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--n", type=int, default=10)
     sp.add_argument("--mu", type=float, default=12.0)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -225,7 +224,7 @@ def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaRes
     # certify the best point at the accuracy ladder
     final, err_quad = integrate_lambda(
         LambdaArgs(s_tilde=(S * math.sin(psi), 0.0, S * math.cos(psi)),
-                   k_vec=(0.0, 0.0, K), q_mu=Q, m=m, a_const=A),
+                   k_vec=(0.0, 0.0, K), q_mu=Q, m=m),
         tol=cfg.quad_tol, return_err=True)
     err_search = max(final - best_coarse, 0.0)
     return LambdaResult(
@@ -270,10 +269,6 @@ class LatticeSumResult(float):
         obj.n_points = n_points
         return obj
 
-    @property
-    def value(self):
-        return float(self)
-
 
 def _envelope_tail(args: LambdaArgs, radius: float) -> float:
     """Upper bound on (2 pi/ell)^3 * sum of lambda over |t - AK| > radius,
@@ -305,8 +300,7 @@ def _envelope_tail(args: LambdaArgs, radius: float) -> float:
 _BLOCK_POINTS = 1 << 13
 
 
-def lattice_lambda_sum(args: LambdaArgs, cutoff: float,
-                       tol: float | None = None) -> LatticeSumResult:
+def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
     """(2 pi/ell)^3 times the kernel summed over the shifted lattice
     L + A*K within |t - AK| <= cutoff, with an envelope tail bound.
 
@@ -393,30 +387,23 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float,
         for lo, hi in spans:
             total += float(chunk[lo:hi].sum())
         npts += idx.size
-    tail = _envelope_tail(args, cutoff)
-    if tol is not None and tail > tol:
-        raise AccuracyError(
-            f"envelope tail bound {tail} exceeds tolerance {tol} at cutoff {cutoff}",
-            estimate=h**3 * total, error_bound=tail)
-    return LatticeSumResult(h**3 * total, tail, npts)
+    return LatticeSumResult(h**3 * total, _envelope_tail(args, cutoff), npts)
 
 
-def _hybrid_lattice_sum(args: LambdaArgs, ball_spacings: int = 28,
-                        tol: float = 1e-6) -> float:
+def _hybrid_lattice_sum(args: LambdaArgs, tol: float = 1e-6) -> float:
     """Lattice sum evaluated as continuum integral plus a local
     sum-minus-integral correction near the singular point: the full
-    integral, minus the integral over the sharp ball of ``ball_spacings``
-    lattice spacings around AK, plus the lattice sum over that ball.
+    integral, minus the integral over the sharp ball of 28 lattice
+    spacings around AK, plus the lattice sum over that ball.
 
     The sum-minus-integral outside the ball is dropped, and it is not
     negligible at the 1e-5 level: it is the lattice-point discrepancy of a
     sharp sphere, which does not decay smoothly with the radius. At
     delta = 2, N = 10, s = (40, 0, 0), K = (0, 0, 30), Q = 25, m = 1 and
-    tol = 1e-5, this returns 0.1638070, 0.1638025 and 0.1638042 for 28, 40
-    and 56 spacings: swings of about 4e-6, not monotone in the radius.
+    tol = 1e-5, balls of 28, 40 and 56 spacings give 0.1638070, 0.1638025
+    and 0.1638042: swings of about 4e-6, not monotone in the radius.
     """
-    h = 2.0 * math.pi / args.ell
-    r0 = ball_spacings * h
+    r0 = 28 * (2.0 * math.pi / args.ell)
     full = integrate_lambda(args, tol=tol)
     local_int = integrate_lambda(args, tol=tol, r_hi=r0)
     local_sum = lattice_lambda_sum(args, cutoff=r0)
@@ -424,8 +411,7 @@ def _hybrid_lattice_sum(args: LambdaArgs, ball_spacings: int = 28,
 
 
 def lambda_tilde(m: float, kappa: float, n: int, ell: float,
-                 cfg: SupSearchConfig = SupSearchConfig(),
-                 c_t: float | None = None,
+                 cfg: SupSearchConfig = SupSearchConfig(), *, c_t: float,
                  delta_factors=(0.3, 1.0, 3.0)) -> LambdaResult:
     """Lattice analogue of the stability functional.
 
@@ -433,22 +419,16 @@ def lambda_tilde(m: float, kappa: float, n: int, ell: float,
     (s_tilde, K) and Q_mu on or above the boundary
     Q_mu^2 = (c_T - kappa) N^{5/3} / ell^2 of the lattice sum.
     """
-    if c_t is None:
-        from .bounds import enumerate_c_t
-        c_t = enumerate_c_t(200)
     if not 0 < kappa < c_t:
         raise PreconditionError(f"need 0 < kappa < c_T={c_t}, got {kappa}")
     if not m > 0:
         raise DomainError(f"mass ratio must be positive, got m={m}")
-    A = default_a_const(m)
     q_b = math.sqrt((c_t - kappa)) * n ** (5.0 / 6.0) / ell
-    h = 2.0 * math.pi / ell
 
     def evaluate(S, K, psi, Q, delta, tol):
         args = LambdaArgs(
             s_tilde=(S * math.sin(psi), 0.0, S * math.cos(psi)),
-            k_vec=(0.0, 0.0, K), q_mu=Q, m=m, delta=delta, n=n, ell=ell,
-            a_const=A)
+            k_vec=(0.0, 0.0, K), q_mu=Q, m=m, delta=delta, n=n, ell=ell)
         try:
             return _hybrid_lattice_sum(args, tol=tol)
         except AccuracyError as exc:

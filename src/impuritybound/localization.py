@@ -135,10 +135,10 @@ class LatticePartition:
                                   period=period)
         return np.sqrt(out)
 
-    def partition_residual(self, n_sample: int = 17) -> float:
-        """max |sum_i J_i^2 - 1| over a uniform interior sample."""
+    def partition_residual(self) -> float:
+        """max |sum_i J_i^2 - 1| over a uniform 17^3 interior sample."""
         period = self.spec.n_cells * self.spec.ell
-        pts = np.linspace(0.0, period, n_sample, endpoint=False) + 0.37
+        pts = np.linspace(0.0, period, 17, endpoint=False) + 0.37
         X = np.stack(np.meshgrid(pts, pts, pts, indexing="ij"), -1)
         total = np.zeros(X.shape[:-1])
         nc = self.spec.n_cells

@@ -36,14 +36,14 @@ def default_a_const(m: float) -> float:
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: mass ratio m, coupling alpha, spectral shift mu,
-    particle count n, small box side ell and large box side lbig."""
+    particle count n and box side ell. The large box side of the Dirichlet
+    and localization code is passed to those functions directly."""
 
     m: float
     alpha: float = 0.0
     mu: float = 1.0
     n: int = 1
     ell: float = 1.0
-    lbig: float = 1.0
 
     def __post_init__(self):
         if not self.m > 0:
@@ -52,8 +52,6 @@ class ModelParams:
             raise DomainError(f"particle count must be a positive integer, got n={self.n}")
         if not self.ell > 0:
             raise DomainError(f"box side must be positive, got ell={self.ell}")
-        if not self.lbig > 0:
-            raise DomainError(f"box side must be positive, got lbig={self.lbig}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,6 @@ class LambdaArgs:
     delta: float = 0.0
     n: int = 1
     ell: float = 1.0
-    a_const: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "s_tilde", tuple(as_momentum(self.s_tilde)))
@@ -105,8 +102,11 @@ class LambdaArgs:
             raise DomainError(f"delta must be non-negative, got {self.delta}")
         if not self.ell > 0:
             raise DomainError(f"ell must be positive, got {self.ell}")
-        if self.a_const is None:
-            object.__setattr__(self, "a_const", default_a_const(self.m))
+
+    @property
+    def a_const(self) -> float:
+        """Coefficient A of the kernel, always ``default_a_const(m)``."""
+        return default_a_const(self.m)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ import numpy as np
 from scipy import integrate as _sci_integrate
 
 from .errors import DomainError, NumericError, PreconditionError
-from .kernels import fhat_infinity, l_continuum
+from .kernels import l_continuum
 from .params import ModelParams
 
 __all__ = [
-    "SingularAmplitude", "TorusFormBreakdown", "l_periodic", "l_periodic_info",
-    "Mollifier", "l_periodic_bruteforce", "t_dia_per", "t_off_per",
-    "t_off_per_complex", "t_alpha_per", "t_tilde_vector", "g_norm_sq",
-    "rep_sing_check", "random_fermionic_amplitude",
+    "SingularAmplitude", "TorusFormBreakdown", "l_periodic", "Mollifier",
+    "l_periodic_bruteforce", "t_dia_per", "t_off_per", "t_off_per_complex",
+    "t_alpha_per", "t_tilde_vector", "g_norm_sq", "rep_sing_check",
+    "random_fermionic_amplitude",
 ]
 
 
@@ -162,9 +162,8 @@ def _l_periodic_impl(m, mu, ell, k1, khat_sq):
     fh = (math.sqrt(math.pi / 2.0) * (2.0 * m / (1.0 + m))
           * np.exp(-math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * r) / r)
     corr = float((np.cos(Z @ off) * fh).sum())
-    info = {"gamma": gamma, "nmax": nmax, "n_terms": int(Z.shape[0]),
-            "correction": (2.0 * math.pi) ** 1.5 * corr}
-    return base - (2.0 * math.pi) ** 1.5 * corr, info
+    return (base - (2.0 * math.pi) ** 1.5 * corr,
+            {"nmax": nmax, "n_terms": int(Z.shape[0])})
 
 
 def _split_kvec(params: ModelParams, kvec):
@@ -177,16 +176,11 @@ def _split_kvec(params: ModelParams, kvec):
     return k1, khat_sq
 
 
-def l_periodic_info(params: ModelParams, kvec):
-    """Periodic diagonal kernel with convergence metadata."""
-    k1, khat_sq = _split_kvec(params, kvec)
-    return _l_periodic_impl(params.m, params.mu, params.ell, k1, khat_sq)
-
-
 def l_periodic(params: ModelParams, kvec) -> float:
     """L^per(k): the continuum kernel minus the exponentially convergent
     dual-lattice Poisson correction, truncated with a certified tail."""
-    return l_periodic_info(params, kvec)[0]
+    k1, khat_sq = _split_kvec(params, kvec)
+    return _l_periodic_impl(params.m, params.mu, params.ell, k1, khat_sq)[0]
 
 
 class Mollifier:
@@ -447,25 +441,12 @@ def _reduced_weight(m, ksq_rel, nu):
 
 
 def g_norm_sq(xi, nu: float, params: ModelParams) -> float:
-    """Squared norm of the resolvent applied to a boundary amplitude.
-
-    Lattice case (SingularAmplitude): the explicit reduced formula after
-    the impurity-momentum integration, summed over support.
-    Continuum case (callable radial profile, n=1): 1D radial quadrature.
+    """Squared norm of the resolvent at spectral shift nu applied to a
+    continuum boundary amplitude, given as a callable radial profile
+    (n = 1): a 1D radial quadrature after the impurity-momentum
+    integration.
     """
     m = params.m
-    if isinstance(xi, SingularAmplitude):
-        terms = []
-        for key, amp in xi.items():
-            ks = np.asarray([xi.momentum(t) for t in key])
-            k1sq = float(ks[0] @ ks[0])
-            khat_sq = float((ks[1:] ** 2).sum())
-            rad = k1sq / (2.0 * (1.0 + m)) + 0.5 * khat_sq + nu
-            if rad <= 0:
-                raise DomainError(f"non-positive radicand {rad} at nu={nu}")
-            terms.append(abs(amp) ** 2 * math.pi**2
-                         * (2.0 * m / (m + 1.0)) ** 1.5 / math.sqrt(rad))
-        return xi.spacing ** (3 * xi.n) * math.fsum(terms)
     if params.n != 1:
         raise PreconditionError("continuum radial profile requires n=1")
     if nu <= 0:
@@ -521,19 +502,19 @@ def rep_sing_check(xi, params: ModelParams) -> float:
 # random ensembles
 
 def random_fermionic_amplitude(n: int, ell: float, seed: int,
-                               n_terms: int = 4, radius: int = 2
-                               ) -> SingularAmplitude:
+                               n_terms: int = 4) -> SingularAmplitude:
     """Random finitely supported fermionic amplitude, reproducible by seed.
 
     Draws base entries (v0; w_1 < ... < w_{n-1}) with distinct companion
-    momenta and antisymmetrizes over the companion slots.
+    momenta among the integer triples in [-2, 2]^3 and antisymmetrizes
+    over the companion slots.
     """
     rng = np.random.default_rng(seed)
     support = {}
     labels = [(a, b, c)
-              for a in range(-radius, radius + 1)
-              for b in range(-radius, radius + 1)
-              for c in range(-radius, radius + 1)]
+              for a in range(-2, 3)
+              for b in range(-2, 3)
+              for c in range(-2, 3)]
     for _ in range(n_terms):
         v0 = labels[rng.integers(len(labels))]
         comp = sorted(labels[i] for i in rng.choice(len(labels), size=n - 1,

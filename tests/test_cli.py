@@ -171,3 +171,29 @@ def test_required_flag_missing_from_flags_and_config(capsys, tmp_path):
         assert [ln for ln in err.splitlines() if "error:" in ln] == [
             "impuritybound bound: error: the following arguments are "
             "required: --m"]
+
+
+BOUND = ["--n", "1000", "--alpha", "-1", "--lambda-val", "0.3409"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--m", "1", "--lambda-val", "0.34", "--alpha", "-1",
+      "--ell", "0"], 2),
+    (["bound", "--m", "0", "--ell", "1"] + BOUND, 2),
+    (["bound", "--m", "-1", "--ell", "1"] + BOUND, 2),
+    (["bound", "--m", "1", "--ell", "-1"] + BOUND, 2),
+    (["bound", "--kind", "main", "--m", "1", "--n", "64", "--lbig", "0",
+      "--alpha", "-1", "--lambda-val", "0.3409", "--const", "2"], 2),
+    (["bound", "--kind", "unconfined", "--m", "1", "--alpha", "-1",
+      "--lambda-val", "-0.5"], 2),
+    (["ltcheck", "--count", "0"], 3),
+    (["ltcheck", "--count", "1", "--seed", "-1"], 2),
+    (["bound", "--registry", "/nonexistent-dir/registry.json", "--m", "1",
+      "--ell", "1"] + BOUND, 2),
+], ids=["ell-zero", "m-zero", "m-negative", "ell-negative", "lbig-zero",
+        "unconfined-negative-lambda", "ltcheck-count-zero",
+        "ltcheck-negative-seed", "registry-missing"])
+def test_bad_inputs_exit_with_documented_code(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "precondition violated: "))
