@@ -237,10 +237,11 @@ def _lambda_value(lambda_val: float) -> float:
 
 
 def _require_positive(**values):
-    """DomainError unless every given mass ratio or box side is > 0."""
+    """DomainError unless every given mass ratio or box side is finite
+    and > 0."""
     for name, v in values.items():
-        if not v > 0:
-            raise DomainError(f"{name} must be positive, got {v}")
+        if not (math.isfinite(v) and v > 0):
+            raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
 def kappa_default(m: float, registry: ConstantsRegistry,

@@ -78,8 +78,6 @@ def _search_config(args) -> SupSearchConfig:
 
 def cmd_lambda(args):
     from .lambda_functional import lambda_of_m
-    if not args.m > 0:
-        raise DomainError(f"mass ratio must be positive, got {args.m}")
     res = lambda_of_m(args.m, _search_config(args))
     _emit(args, "lambda", {
         "m": args.m, "value": res.value, "argmax": res.argmax,

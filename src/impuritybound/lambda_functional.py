@@ -6,7 +6,10 @@ The kernel is homogeneous of degree -3 under simultaneous scaling of
 (the "gauge") and scans |K|, Q and the angle between s_tilde and K. All
 integrals use tensorized Gauss-Legendre quadrature in spherical
 coordinates centered at the kernel's singular point A*K, where the
-1/(t-AK)^2 factor is cancelled by the Jacobian.
+1/(t-AK)^2 factor is cancelled by the Jacobian. The fixed-resolution rule
+evaluates its grid in blocks of whole r-rows into one grid-sized array and
+sums that array once, so its floats do not depend on the block size; the
+lattice sum likewise walks its index box in blocks of z-slabs.
 """
 
 from __future__ import annotations
@@ -69,16 +72,25 @@ def _angular(nth: int, nphi: int):
     return tuple(th + ph)
 
 
+# grid points per block of _lam_quad_fixed: its temporaries stay cache-sized
+_QUAD_BLOCK_POINTS = 1 << 15
+
+
 def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
                     nr, nth, nphi, r_hi=None):
     """Integral of lambda over t (r_hi=None) or over |t - AK| <= r_hi,
     at a fixed tensor-product resolution.
 
     Coordinates: K along e_z, s_tilde in the x-z plane at angle psi.
-    Factors of (r, theta) alone are formed on (nr, nth, 1) arrays; only the
-    phi-dependent terms fill the (nr, nth, nphi) grid, in place. Each
-    element sees the same operations in the same order as a plain
-    meshgrid evaluation, so results do not depend on this layout.
+    Factors of (r, theta) alone are formed once on (nr, nth, 1) arrays.
+    The phi-dependent terms are evaluated in blocks of whole r-rows of at
+    most ``_QUAD_BLOCK_POINTS`` points (one row if a row is larger), in
+    block-sized temporaries; each block's integrand values land in their
+    rows of one (nr, nth, nphi) array. Each element sees the same
+    operations in the same order as a plain meshgrid evaluation, and the
+    final sum runs over that one C-contiguous grid, so numpy's pairwise
+    summation adds the same values in the same tree. Results therefore
+    depend neither on this layout nor on the block size.
     """
     if S == 0.0:
         return 0.0
@@ -112,33 +124,47 @@ def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
     ct, st, wt, cp, sp2, jp = _angular(nth, nphi)
     R = r.reshape(nr, 1, 1)
     tz = ak + R * ct
+    # (r, theta) factors of t_x, t_y^2, t_z^2, s_z t_z and the r and theta
+    # weights; the 1/((t-AK)^2 + dreg) factor against the Jacobian r^2
+    rst = R * st
+    rrss = R * R * st * st
+    tz2 = tz * tz
+    sztz = sz * tz
+    jrwt = jr.reshape(nr, 1, 1) * wt
+    rfac = R * R / (R * R + dreg)
 
-    # full grid: t_x, then t^2 and s.t, each in place
-    tx = R * st * cp
-    t2 = tx * tx
-    tmp = R * R * st * st * sp2
-    t2 += tmp
-    t2 += tz * tz
-    sdott = tx
-    sdott *= sx
-    sdott += sz * tz
-    denom = np.add(s2, t2, out=tmp)
-    denom += B
-    denom *= denom
-    csq = c4 * sdott
-    csq **= 2
-    denom -= csq
-    f = t2
-    f *= c1
-    f += B
-    f **= -0.25
-    f *= np.abs(sdott, out=sdott)
-    f /= denom
-    # the 1/((t-AK)^2 + dreg) factor against the Jacobian r^2
-    f *= R * R / (R * R + dreg)
-    W = np.multiply(jr.reshape(nr, 1, 1) * wt, jp, out=csq)
-    f *= W
-    return 2.0 * pref * float(f.sum())
+    full = np.empty((nr, nth, nphi))
+    step = max(1, _QUAD_BLOCK_POINTS // (nth * nphi))
+    tx_buf = np.empty((min(step, nr), nth, nphi))
+    tmp_buf = np.empty_like(tx_buf)
+    csq_buf = np.empty_like(tx_buf)
+    for i0 in range(0, nr, step):
+        rows = slice(i0, i0 + step)
+        k = min(step, nr - i0)
+        # t_x, then t^2 (in its rows of the full grid) and s.t, in place
+        tx = np.multiply(rst[rows], cp, out=tx_buf[:k])
+        t2 = np.multiply(tx, tx, out=full[rows])
+        tmp = np.multiply(rrss[rows], sp2, out=tmp_buf[:k])
+        t2 += tmp
+        t2 += tz2[rows]
+        sdott = tx
+        sdott *= sx
+        sdott += sztz[rows]
+        denom = np.add(s2, t2, out=tmp)
+        denom += B
+        denom *= denom
+        csq = np.multiply(c4, sdott, out=csq_buf[:k])
+        csq **= 2
+        denom -= csq
+        f = t2
+        f *= c1
+        f += B
+        f **= -0.25
+        f *= np.abs(sdott, out=sdott)
+        f /= denom
+        f *= rfac[rows]
+        f *= np.multiply(jrwt[rows], jp, out=csq)
+    return 2.0 * pref * float(full.sum())
 
 
 _LEVELS = ((48, 28, 28), (72, 44, 44), (108, 64, 64), (160, 96, 96),
@@ -185,8 +211,8 @@ def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaRes
     under the scaling gauge |s_tilde| = 1, followed by Nelder-Mead
     refinement from the best ``cfg.n_starts`` grid cells.
     """
-    if not m > 0:
-        raise DomainError(f"mass ratio must be positive, got m={m}")
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"mass ratio must be positive and finite, got m={m}")
     A = default_a_const(m)
 
     def value(u, v, psi, level):
@@ -239,7 +265,10 @@ def critical_mass(cfg: SupSearchConfig = SupSearchConfig(),
     """Bisection root of Lambda(m) = 1 inside ``bracket``.
 
     Requires Lambda(m_lo) > 1 > Lambda(m_hi); returns the midpoint of the
-    final bracket at tolerance ``cfg.m_tol``.
+    final bracket at tolerance ``cfg.m_tol``. If ``cfg.m_tol`` is below the
+    float spacing of the bracket, the bisection stops once its ends are
+    adjacent floats (the midpoint rounds to one of them) and returns that
+    midpoint.
     """
     lo, hi = bracket
     f_lo = lambda_of_m(lo, cfg).value
@@ -250,6 +279,8 @@ def critical_mass(cfg: SupSearchConfig = SupSearchConfig(),
             "need Lambda(m_lo) > 1 > Lambda(m_hi)")
     while hi - lo > cfg.m_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if lambda_of_m(mid, cfg).value > 1.0:
             lo = mid
         else:
@@ -421,8 +452,8 @@ def lambda_tilde(m: float, kappa: float, n: int, ell: float,
     """
     if not 0 < kappa < c_t:
         raise PreconditionError(f"need 0 < kappa < c_T={c_t}, got {kappa}")
-    if not m > 0:
-        raise DomainError(f"mass ratio must be positive, got m={m}")
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"mass ratio must be positive and finite, got m={m}")
     q_b = math.sqrt((c_t - kappa)) * n ** (5.0 / 6.0) / ell
 
     def evaluate(S, K, psi, Q, delta, tol):

@@ -190,9 +190,15 @@ BOUND = ["--n", "1000", "--alpha", "-1", "--lambda-val", "0.3409"]
     (["ltcheck", "--count", "1", "--seed", "-1"], 2),
     (["bound", "--registry", "/nonexistent-dir/registry.json", "--m", "1",
       "--ell", "1"] + BOUND, 2),
+    (["bound", "--m", "inf", "--ell", "1"] + BOUND, 2),
+    (["bound", "--m", "1", "--ell", "inf"] + BOUND, 2),
+    (["bound", "--kind", "main", "--m", "1", "--n", "64", "--lbig", "inf",
+      "--alpha", "-1", "--lambda-val", "0.3409", "--const", "2"], 2),
+    (["lambda", "--m", "inf"], 2),
 ], ids=["ell-zero", "m-zero", "m-negative", "ell-negative", "lbig-zero",
         "unconfined-negative-lambda", "ltcheck-count-zero",
-        "ltcheck-negative-seed", "registry-missing"])
+        "ltcheck-negative-seed", "registry-missing", "m-inf", "ell-inf",
+        "lbig-inf", "lambda-m-inf"])
 def test_bad_inputs_exit_with_documented_code(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err

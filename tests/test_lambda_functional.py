@@ -4,15 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from impuritybound import lambda_functional
 from impuritybound.errors import AccuracyError, DomainError, PreconditionError
 from impuritybound.kernels import lambda_coefficients
-from impuritybound.lambda_functional import (_LEVELS, _envelope_tail, _gl,
+from impuritybound.lambda_functional import (_LEVELS, _QUAD_BLOCK_POINTS,
+                                             _envelope_tail, _gl,
                                              _hybrid_lattice_sum,
-                                             _lam_quad_fixed, fit_c_lambda,
-                                             integrate_lambda,
+                                             _lam_quad_fixed, critical_mass,
+                                             fit_c_lambda, integrate_lambda,
                                              lattice_lambda_sum,
                                              write_sweep_csv)
-from impuritybound.params import LambdaArgs, default_a_const
+from impuritybound.params import (LambdaArgs, LambdaResult, SupSearchConfig,
+                                  default_a_const)
 
 # frozen in-repo reference: full quadrature ladder at tol 1e-5
 SPOT_ARGS = dict(s_tilde=(1.0, 0.0, 0.0), k_vec=(0.0, 0.0, 1.1),
@@ -127,6 +130,74 @@ def test_quadrature_bit_identical_to_meshgrid_reference():
         for quad in (_lam_quad_fixed, _meshgrid_quad):
             with pytest.raises(DomainError):
                 quad(*args)
+
+
+def _random_quad_args(rng, i, level):
+    """Seeded positional arguments of _lam_quad_fixed and an r_hi (None for
+    the full integral on every other pair of cases)."""
+    m = float(10.0 ** rng.uniform(math.log10(0.25), math.log10(30.0)))
+    S, K, Q = (float(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(3))
+    psi = float(rng.uniform(0.0, math.pi))
+    delta = 0.0 if i % 2 else float(10.0 ** rng.uniform(-2.0, 2.0))
+    r_hi = None if i % 4 < 2 else float(10.0 ** rng.uniform(-2.0, 3.0))
+    args = (m, default_a_const(m), S, K, psi, Q, delta,
+            int(rng.integers(1, 200)), float(rng.uniform(0.5, 2.0)),
+            *_LEVELS[level])
+    return args, r_hi
+
+
+def test_quadrature_level3_bit_identical_to_meshgrid_reference():
+    """At level 3 a block is three r-rows and the last block one row; the
+    meshgrid reference still fits in memory (about 580 MB at level 4)."""
+    rng = np.random.default_rng(20261020)
+    for i in range(4):
+        args, r_hi = _random_quad_args(rng, i, 3)
+        assert _lam_quad_fixed(*args, r_hi=r_hi) == _meshgrid_quad(
+            *args, r_hi=r_hi)
+
+
+def test_quadrature_independent_of_block_size(monkeypatch):
+    """One r-row a block, odd sizes, the default and one block for the
+    whole grid all give the same floats, ball and full."""
+    rng = np.random.default_rng(20261021)
+    cases = [_random_quad_args(rng, i, i % 3) for i in range(24)]
+    expected = [_lam_quad_fixed(*args, r_hi=r_hi) for args, r_hi in cases]
+    for block in (1, 777, _QUAD_BLOCK_POINTS, 1 << 30):
+        monkeypatch.setattr(lambda_functional, "_QUAD_BLOCK_POINTS", block)
+        assert [_lam_quad_fixed(*args, r_hi=r_hi)
+                for args, r_hi in cases] == expected
+
+
+def test_quadrature_memory_bounded():
+    """Level 4 is 240 * 144 * 144 points: one 40 MB grid array plus
+    block-sized temporaries (four whole-grid arrays would be 160 MB)."""
+    args = (1.0, default_a_const(1.0), 1.0, 1.1, 0.7, 0.4, 0.0, 1, 1.0,
+            *_LEVELS[4])
+    _lam_quad_fixed(*args)  # fill the node caches before tracing
+    tracemalloc.start()
+    try:
+        _lam_quad_fixed(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56e6
+
+
+def test_critical_mass_stops_at_float_spacing(monkeypatch):
+    """With m_tol far below the float spacing of the bracket the bisection
+    ends once its ends are adjacent floats, at about 52 halvings."""
+    root = 0.3577
+    calls = []
+
+    def step_lambda(m, cfg):
+        calls.append(m)
+        assert len(calls) <= 60
+        return LambdaResult(value=2.0 if m < root else 0.5)
+
+    monkeypatch.setattr(lambda_functional, "lambda_of_m", step_lambda)
+    got = critical_mass(SupSearchConfig(m_tol=1e-20), bracket=(0.30, 0.45))
+    assert len(calls) <= 60
+    assert abs(got - root) <= 2.0 * math.ulp(root)
 
 
 LATTICE_ARGS = dict(s_tilde=(40.0, 0.0, 0.0), k_vec=(0.0, 0.0, 30.0),
