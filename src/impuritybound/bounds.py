@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .box_spectra import sum_lowest
 from .errors import DomainError, PreconditionError, StabilityRegimeError
-from .params import ModelParams, SupSearchConfig
+from .params import ModelParams, SupSearchConfig, check_domain
 
 __all__ = [
     "PROVENANCES", "A_CONST_RULE", "ConstantsRegistry", "BoundReport",
@@ -230,25 +230,11 @@ class BoundReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _lambda_value(lambda_val: float) -> float:
-    if lambda_val < 0:
-        raise DomainError(f"lambda value must be >= 0, got {lambda_val}")
-    return float(lambda_val)
-
-
-def _require_positive(**values):
-    """DomainError unless every given mass ratio or box side is finite
-    and > 0."""
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"{name} must be positive and finite, got {v}")
-
-
 def kappa_default(m: float, registry: ConstantsRegistry,
                   lambda_val: float) -> float:
     """Half-way confinement weight kappa = c_T (1 - Lambda(m)) / 2."""
-    _require_positive(m=m)
-    lam = _lambda_value(lambda_val)
+    check_domain("m", m, 0.0)
+    lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     if lam >= 1.0:
         raise StabilityRegimeError(
             f"Lambda(m) = {lam} >= 1: no stable kappa exists")
@@ -269,8 +255,8 @@ def n_zero(m: float, kappa: float, registry: ConstantsRegistry,
            lambda_val: float) -> float:
     """Particle-number threshold above which the lattice functional is
     close enough to its continuum limit for the confined bound."""
-    _require_positive(m=m)
-    lam = _lambda_value(lambda_val)
+    check_domain("m", m, 0.0)
+    lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
     c_lam = registry.value("c_lambda")
@@ -282,8 +268,10 @@ def mu_star(m: float, kappa: float, n: int, ell: float, alpha: float,
             registry: ConstantsRegistry,
             lambda_val: float) -> float:
     """Optimizing spectral shift of the confined bound."""
-    _require_positive(m=m, ell=ell)
-    lam = _lambda_value(lambda_val)
+    check_domain("m", m, 0.0)
+    check_domain("ell", ell, 0.0)
+    check_domain("alpha", alpha)
+    lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
     c_lp = registry.value("c_l_prime")
@@ -305,8 +293,9 @@ def mu_star(m: float, kappa: float, n: int, ell: float, alpha: float,
 def bound_unconfined(m: float, alpha: float, lambda_val: float) -> float:
     """N-independent lower bound: zero for non-negative coupling, else the
     negative-coupling well depth."""
-    _require_positive(m=m)
-    lam = _lambda_value(lambda_val)
+    check_domain("m", m, 0.0)
+    check_domain("alpha", alpha)
+    lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     if lam >= 1.0:
         raise StabilityRegimeError(
             f"Lambda = {lam} >= 1: outside the stability regime")
@@ -321,8 +310,10 @@ def bound_confined(m: float, kappa: float, n: int, ell: float, alpha: float,
                    lambda_val: float) -> BoundReport:
     """Lower bound for n fermions plus the impurity in a box of side ell,
     with confinement weight kappa."""
-    _require_positive(m=m, ell=ell)
-    lam = _lambda_value(lambda_val)
+    check_domain("m", m, 0.0)
+    check_domain("ell", ell, 0.0)
+    check_domain("alpha", alpha)
+    lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
     nz = n_zero(m, kappa, registry, lambda_val=lam)
@@ -363,11 +354,14 @@ def bound_main(m: float, n: int, lbig: float, alpha: float,
     principles here; it must be supplied (registry provenance "fitted"),
     never invented.
     """
-    _require_positive(m=m, lbig=lbig)
-    lam = _lambda_value(lambda_val)
+    check_domain("m", m, 0.0)
+    check_domain("lbig", lbig, 0.0)
+    check_domain("alpha", alpha)
+    lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     if lam >= 1.0:
         raise StabilityRegimeError(
             f"Lambda = {lam} >= 1: outside the stability regime")
+    check_domain("fitted_const", fitted_const)
     if not fitted_const > 0:
         raise PreconditionError(
             f"fitted_const must be positive, got {fitted_const}")
@@ -392,8 +386,8 @@ def bound_main(m: float, n: int, lbig: float, alpha: float,
 def choose_ell(n: int, lbig: float) -> float:
     """Cell side for localization: lbig/ell integral and ell matched to the
     mean interparticle distance (ell * rho^{1/3} within a factor 2)."""
-    if n < 1 or lbig <= 0:
-        raise DomainError("need n >= 1 and a positive box side")
+    check_domain("n", n, 1, strict=False)
+    check_domain("lbig", lbig, 0.0)
     rho13 = (n / lbig ** 3) ** (1.0 / 3.0)
     k_best = max(1, round(lbig * rho13))
     for k in sorted(range(max(1, k_best - 3), k_best + 4),

@@ -20,6 +20,7 @@ from scipy import linalg as _sci_linalg
 
 from .errors import DomainError, NumericError, PreconditionError
 from .kernels import s_function_arr
+from .params import check_domain
 
 __all__ = [
     "DirichletSpectrum", "FiniteRankPerturbation", "PotentialGrid",
@@ -94,8 +95,7 @@ def dirichlet_levels(lbig: float, count: int) -> DirichletSpectrum:
     enumeration ball strictly contains the largest reported level)."""
     if count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
-    if not lbig > 0:
-        raise DomainError(f"box side must be positive, got {lbig}")
+    check_domain("lbig", lbig, 0.0)
     labels, n2s = _lowest_modes(count)
     vals, first, mult = np.unique(n2s, return_index=True, return_counts=True)
     # the levels up to the one that holds the count-th mode
@@ -127,8 +127,7 @@ def rho0(x, lbig: float, mu: float):
     pts = x.reshape(-1, 3)
     if np.any(pts < 0) or np.any(pts > lbig):
         raise DomainError("position outside the box [0, L]^3")
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_domain("mu", mu, 0.0)
     n2_max = int(mu * (lbig / math.pi) ** 2)
     g = _enumerate_n2(n2_max)
     out = np.zeros(len(pts))
@@ -143,10 +142,8 @@ def rho0(x, lbig: float, mu: float):
 
 def shell_count_f(e: float, mu: float, lbig: float) -> float:
     """(2/L)^3 times the number of levels with |p^2 - mu| < e (strict)."""
-    if e < 0:
-        raise DomainError(f"e must be non-negative, got {e}")
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_domain("e", e, 0.0, strict=False)
+    check_domain("mu", mu, 0.0)
     if e == 0.0:
         return 0.0
     n2_hi = (mu + e) * (lbig / math.pi) ** 2
@@ -158,8 +155,7 @@ def shell_count_f(e: float, mu: float, lbig: float) -> float:
 def r_function(rho: float, mu: float, lbig: float) -> float:
     """R(rho): integral over e of (sqrt(rho) - sqrt(f(e)))_+^2, evaluated
     exactly on the step structure of the shell count f."""
-    if rho < 0:
-        raise DomainError(f"rho must be non-negative, got {rho}")
+    check_domain("rho", rho, 0.0, strict=False)
     if rho == 0.0:
         return 0.0
     meas = (2.0 / lbig) ** 3
@@ -293,6 +289,7 @@ def thm_a3_check(v: PotentialGrid, mu: float, basis_size: int = 512):
     The inequality asserts lhs >= -K rhs_integral for a universal K, and
     lhs <= 0.
     """
+    check_domain("mu", mu)
     if mu < 3.0 * math.pi**2 / v.lbig**2:
         raise PreconditionError(
             "mu below the lowest Dirichlet level: the standard inequality "
@@ -418,8 +415,8 @@ def random_admissible_q(lbig: float, mu: float, seed: int
     symmetric matrix of spectral radius 0.6 is projected into the
     admissible set by clipping the eigenvalues of Q + P to [0, 1].
     """
-    if not lbig > 0:
-        raise DomainError(f"box side must be positive, got {lbig}")
+    check_domain("lbig", lbig, 0.0)
+    check_domain("mu", mu)
     # expand multiplicity: enumerate all labels below mu plus a slice above
     n2_mu = int(mu * (lbig / math.pi) ** 2)
     lab_below = [tuple(int(c) for c in t) for t in _enumerate_n2(n2_mu)]
@@ -450,6 +447,7 @@ def random_smooth_potential(lbig: float, seed: int, depth: float = 1.0,
     """Random smooth non-positive potential: a sum of four negative
     Gaussian bumps with centers and widths drawn reproducibly from the
     seed."""
+    check_domain("lbig", lbig, 0.0)
     rng = np.random.default_rng(seed)
     ax = (np.arange(n_grid) + 0.5) * lbig / n_grid
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")

@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .errors import (AccuracyError, DomainError, NumericError,
                      PreconditionError, SearchError)
-from .params import SupSearchConfig
+from .params import SupSearchConfig, check_domain
 
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
@@ -167,8 +167,7 @@ def _ltcheck_one(task):
 def cmd_ltcheck(args):
     if args.count < 1:
         raise PreconditionError(f"count must be >= 1, got {args.count}")
-    if args.seed < 0:
-        raise DomainError(f"seed must be non-negative, got {args.seed}")
+    check_domain("seed", args.seed, 0.0, strict=False)
     tasks = [(args.seed + i, args.n, args.mu, args.lbig, args.depth,
               args.grid, args.basis) for i in range(args.count)]
     if args.jobs > 1:

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by the library and the CLI.
 
 The CLI maps these to distinct exit codes: usage errors are handled by
-argparse (exit 2), PreconditionError maps to 3, AccuracyError to 4 and
-NumericError to 5.
+argparse (exit 2), DomainError also maps to 2, PreconditionError to 3,
+AccuracyError and SearchError to 4 and NumericError to 5.
 """
 
 

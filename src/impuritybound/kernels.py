@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .params import LambdaArgs, ModelParams, as_momentum
+from .params import LambdaArgs, ModelParams, as_momentum, check_domain
 
 
 def green_g(params: ModelParams, k0, kvec) -> float:
@@ -33,8 +33,7 @@ def l_continuum(params: ModelParams, k1, khat_sq: float) -> float:
     """Continuum diagonal kernel L(k) = 2 pi^2 (2m/(m+1))^{3/2} sqrt(gamma)
     with gamma = k1^2/(2(m+1)) + khat_sq/2 + mu."""
     k1 = as_momentum(k1)
-    if khat_sq < 0:
-        raise DomainError(f"khat_sq must be non-negative, got {khat_sq}")
+    check_domain("khat_sq", khat_sq, 0.0, strict=False)
     m = params.m
     gamma = (k1 @ k1) / (2.0 * (m + 1.0)) + 0.5 * khat_sq + params.mu
     if gamma <= 0:
@@ -92,18 +91,14 @@ def s_function(rho: float, mu: float) -> float:
     Non-negative and convex; behaves like (5/9) mu^{-1/2} rho^2 for small
     rho and like rho^{5/3} for large rho.
     """
-    if rho < 0:
-        raise DomainError(f"rho must be non-negative, got {rho}")
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_domain("rho", rho, 0.0, strict=False)
     return float(s_function_arr(rho, mu))
 
 
 def s_function_arr(rho, mu: float):
     """Vectorized S(rho) for non-negative array input."""
     rho = np.asarray(rho, dtype=float)
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_domain("mu", mu, 0.0)
     if np.any(rho < 0):
         raise DomainError("rho must be non-negative")
     return np.maximum((mu**1.5 + rho) ** (5.0 / 3.0) - mu**2.5 - (5.0 / 3.0) * mu * rho, 0.0)
@@ -112,8 +107,7 @@ def s_function_arr(rho, mu: float):
 def fhat_infinity(m: float, gamma: float, z) -> float:
     """Fourier transform of t -> 1/((1+m)/(2m) t^2 + gamma) at position z:
     sqrt(pi/2) (2m/(1+m)) exp(-sqrt(2m/(m+1)) sqrt(gamma) |z|)/|z|."""
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    check_domain("gamma", gamma, 0.0)
     z = np.asarray(z, dtype=float)
     r = float(np.sqrt((z**2).sum())) if z.shape == (3,) else float(abs(z))
     if r <= 0:

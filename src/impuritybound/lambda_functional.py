@@ -25,7 +25,8 @@ from scipy import optimize as _sci_optimize
 
 from .errors import AccuracyError, DomainError, PreconditionError, SearchError
 from .kernels import lambda_coefficients
-from .params import LambdaArgs, LambdaResult, SupSearchConfig, default_a_const
+from .params import (LambdaArgs, LambdaResult, SupSearchConfig, check_domain,
+                     default_a_const)
 
 __all__ = [
     "integrate_lambda", "lambda_of_m", "critical_mass", "lattice_lambda_sum",
@@ -211,8 +212,7 @@ def lambda_of_m(m: float, cfg: SupSearchConfig = SupSearchConfig()) -> LambdaRes
     under the scaling gauge |s_tilde| = 1, followed by Nelder-Mead
     refinement from the best ``cfg.n_starts`` grid cells.
     """
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"mass ratio must be positive and finite, got m={m}")
+    check_domain("m", m, 0.0)
     A = default_a_const(m)
 
     def value(u, v, psi, level):
@@ -264,13 +264,18 @@ def critical_mass(cfg: SupSearchConfig = SupSearchConfig(),
                   bracket=(0.30, 0.45)) -> float:
     """Bisection root of Lambda(m) = 1 inside ``bracket``.
 
-    Requires Lambda(m_lo) > 1 > Lambda(m_hi); returns the midpoint of the
-    final bracket at tolerance ``cfg.m_tol``. If ``cfg.m_tol`` is below the
+    Requires finite 0 < m_lo < m_hi (checked before any search) and
+    Lambda(m_lo) > 1 > Lambda(m_hi); returns the midpoint of the final
+    bracket at tolerance ``cfg.m_tol``. If ``cfg.m_tol`` is below the
     float spacing of the bracket, the bisection stops once its ends are
     adjacent floats (the midpoint rounds to one of them) and returns that
     midpoint.
     """
     lo, hi = bracket
+    check_domain("lo", lo, 0.0)
+    check_domain("hi", hi, 0.0)
+    if not lo < hi:
+        raise PreconditionError(f"invalid bracket: need lo < hi, got ({lo}, {hi})")
     f_lo = lambda_of_m(lo, cfg).value
     f_hi = lambda_of_m(hi, cfg).value
     if not (f_lo > 1.0 > f_hi):
@@ -344,8 +349,7 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
     values are summed and added to the total in slab order. The result
     therefore does not depend on the block size.
     """
-    if not (math.isfinite(cutoff) and cutoff >= 0):
-        raise DomainError(f"cutoff must be finite and non-negative, got {cutoff}")
+    check_domain("cutoff", cutoff, 0.0, strict=False)
     h = 2.0 * math.pi / args.ell
     s = np.asarray(args.s_tilde)
     K = np.asarray(args.k_vec)
@@ -452,8 +456,7 @@ def lambda_tilde(m: float, kappa: float, n: int, ell: float,
     """
     if not 0 < kappa < c_t:
         raise PreconditionError(f"need 0 < kappa < c_T={c_t}, got {kappa}")
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"mass ratio must be positive and finite, got m={m}")
+    check_domain("m", m, 0.0)
     q_b = math.sqrt((c_t - kappa)) * n ** (5.0 / 6.0) / ell
 
     def evaluate(S, K, psi, Q, delta, tol):

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import fft as _sci_fft
 
 from .errors import DomainError, NumericError, PreconditionError
+from .params import check_domain
 
 __all__ = [
     "PartitionSpec", "LatticePartition", "build_partition",
@@ -60,10 +61,10 @@ class PartitionSpec:
     grid_per_cell: int = 64
 
     def __post_init__(self):
-        if not self.ell > 0:
-            raise DomainError(f"cell side must be positive, got {self.ell}")
+        check_domain("ell", self.ell, 0.0)
         if self.lbig is None:
             object.__setattr__(self, "lbig", 3.0 * self.ell)
+        check_domain("lbig", self.lbig, 0.0)
         ratio = self.lbig / self.ell
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise DomainError(

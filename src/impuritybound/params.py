@@ -7,11 +7,27 @@ is dimensionless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
+
+
+def check_domain(name: str, value, lower: float = -math.inf,
+                 strict: bool = True) -> float:
+    """The package's one scalar domain check: ``value`` as a float if it is
+    finite and above ``lower`` (at or above it when not ``strict``), else a
+    DomainError naming the parameter and the value."""
+    v = float(value)
+    if math.isfinite(v) and (v > lower if strict else v >= lower):
+        return v
+    if lower == -math.inf:
+        raise DomainError(f"{name} must be finite, got {value}")
+    want = (("positive" if strict else "non-negative") if lower == 0
+            else f"{'>' if strict else '>='} {lower}")
+    raise DomainError(f"{name} must be {want} and finite, got {value}")
 
 
 def as_momentum(v) -> np.ndarray:
@@ -46,12 +62,12 @@ class ModelParams:
     ell: float = 1.0
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise DomainError(f"mass ratio must be positive, got m={self.m}")
+        check_domain("m", self.m, 0.0)
+        check_domain("alpha", self.alpha)
+        check_domain("mu", self.mu)
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError(f"particle count must be a positive integer, got n={self.n}")
-        if not self.ell > 0:
-            raise DomainError(f"box side must be positive, got ell={self.ell}")
+        check_domain("ell", self.ell, 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,8 +78,7 @@ class ShiftedLattice:
     offset: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.spacing > 0:
-            raise DomainError(f"lattice spacing must be positive, got {self.spacing}")
+        check_domain("spacing", self.spacing, 0.0)
         object.__setattr__(self, "offset", tuple(as_momentum(self.offset)))
 
     def points_within(self, center, radius: float) -> np.ndarray:
@@ -94,14 +109,10 @@ class LambdaArgs:
     def __post_init__(self):
         object.__setattr__(self, "s_tilde", tuple(as_momentum(self.s_tilde)))
         object.__setattr__(self, "k_vec", tuple(as_momentum(self.k_vec)))
-        if not self.m > 0:
-            raise DomainError(f"mass ratio must be positive, got m={self.m}")
-        if self.q_mu < 0:
-            raise DomainError(f"q_mu must be non-negative, got {self.q_mu}")
-        if self.delta < 0:
-            raise DomainError(f"delta must be non-negative, got {self.delta}")
-        if not self.ell > 0:
-            raise DomainError(f"ell must be positive, got {self.ell}")
+        check_domain("m", self.m, 0.0)
+        check_domain("q_mu", self.q_mu, 0.0, strict=False)
+        check_domain("delta", self.delta, 0.0, strict=False)
+        check_domain("ell", self.ell, 0.0)
 
     @property
     def a_const(self) -> float:
@@ -127,8 +138,8 @@ class SupSearchConfig:
     m_tol: float = 1e-3
 
     def __post_init__(self):
-        if not (self.quad_tol > 0 and self.m_tol > 0):
-            raise PreconditionError("tolerances must be positive")
+        if not (0 < self.quad_tol < math.inf and 0 < self.m_tol < math.inf):
+            raise PreconditionError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)

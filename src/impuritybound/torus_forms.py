@@ -23,7 +23,7 @@ from scipy import integrate as _sci_integrate
 
 from .errors import DomainError, NumericError, PreconditionError
 from .kernels import l_continuum
-from .params import ModelParams
+from .params import ModelParams, check_domain
 
 __all__ = [
     "SingularAmplitude", "TorusFormBreakdown", "l_periodic", "Mollifier",
@@ -70,8 +70,7 @@ class SingularAmplitude:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError(f"particle count must be a positive integer, got {self.n}")
-        if not self.ell > 0:
-            raise DomainError(f"ell must be positive, got {self.ell}")
+        check_domain("ell", self.ell, 0.0)
         cleaned = {}
         for key, amp in self.support.items():
             key = tuple(_as_triple(t) for t in key)
@@ -135,18 +134,24 @@ class TorusFormBreakdown:
 # ---------------------------------------------------------------------------
 # periodic diagonal kernel
 
-def _l_periodic_impl(m, mu, ell, k1, khat_sq):
+def _gamma_offset(m, mu, ell, k1, khat_sq):
+    """Positive radicand gamma = k1^2/(2(1+m)) + khat_sq/2 + mu, and the
+    lattice shift m k1/(m+1) folded into the central cell of (2 pi/ell) Z^3."""
     gamma = float(k1 @ k1) / (2.0 * (1.0 + m)) + 0.5 * khat_sq + mu
     if gamma <= 0:
         raise DomainError(
             f"radicand {gamma} is non-positive: mu={mu} is below the allowed "
             "range for this momentum tuple")
-    base = l_continuum(ModelParams(m=m, mu=mu, ell=ell), k1, khat_sq)
-    # the t-sum runs over the shifted lattice L + m k1/(m+1); in position
-    # space the shift becomes a phase cos(offset . z) on the dual sum
     spacing = 2.0 * math.pi / ell
     off = m * k1 / (m + 1.0)
-    off = off - np.round(off / spacing) * spacing
+    return gamma, off - np.round(off / spacing) * spacing
+
+
+def _l_periodic_impl(m, mu, ell, k1, khat_sq):
+    # the t-sum runs over the shifted lattice L + m k1/(m+1); in position
+    # space the shift becomes a phase cos(offset . z) on the dual sum
+    gamma, off = _gamma_offset(m, mu, ell, k1, khat_sq)
+    base = l_continuum(ModelParams(m=m, mu=mu, ell=ell), k1, khat_sq)
     eta = math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * ell
     # truncate when the geometric tail of e^{-eta |n|}/|n| is below 1e-14
     # of the leading shell, i.e. at nmax ~ 40/eta
@@ -234,13 +239,9 @@ def l_periodic_bruteforce(params: ModelParams, kvec, tau: Mollifier,
     """
     k1, khat_sq = _split_kvec(params, kvec)
     m, mu, ell = params.m, params.mu, params.ell
-    gamma = float(k1 @ k1) / (2.0 * (1.0 + m)) + 0.5 * khat_sq + mu
-    if gamma <= 0:
-        raise DomainError(f"radicand {gamma} is non-positive")
+    gamma, off = _gamma_offset(m, mu, ell, k1, khat_sq)
     a = (1.0 + m) / (2.0 * m)
     spacing = 2.0 * math.pi / ell
-    off = m * k1 / (m + 1.0)
-    off = off - np.round(off / spacing) * spacing
     pmax = tau.support_radius * r_cut
     nmax = int(math.ceil((pmax + 1.0) / spacing))
     n = np.arange(-nmax, nmax + 1)
@@ -449,8 +450,7 @@ def g_norm_sq(xi, nu: float, params: ModelParams) -> float:
     m = params.m
     if params.n != 1:
         raise PreconditionError("continuum radial profile requires n=1")
-    if nu <= 0:
-        raise DomainError(f"nu must be positive in the continuum case, got {nu}")
+    check_domain("nu", nu, 0.0)
 
     def integrand(r):
         return 4.0 * math.pi * r * r * abs(xi(r)) ** 2 * _reduced_weight(m, r * r, nu)
@@ -475,8 +475,7 @@ def rep_sing_check(xi, params: ModelParams) -> float:
     """
     if params.n != 1:
         raise PreconditionError("the n=1 reduction is required here")
-    if params.mu <= 0:
-        raise DomainError(f"mu must be positive, got {params.mu}")
+    check_domain("mu", params.mu, 0.0)
     m, mu, alpha = params.m, params.mu, params.alpha
     c32 = (2.0 * m / (m + 1.0)) ** 1.5
     norm = _profile_norm_sq(xi)

@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from impuritybound.cli import main
+from impuritybound import lambda_functional
+from impuritybound.cli import build_parser, main
 
 
 def test_usage_error_exit_code(capsys):
@@ -203,3 +205,79 @@ def test_bad_inputs_exit_with_documented_code(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(("error: ", "precondition violated: "))
+
+
+# Fast base argv of each subcommand, with the float flags it does not read
+# (each --kind of bound reads its own). A non-finite value of every other
+# float flag must be rejected before any quadrature starts.
+BASES = {
+    "lambda": (["lambda", "--m", "1"], ()),
+    "critical-mass": (["critical-mass"], ()),
+    "bound-confined": (["bound", "--m", "1", "--ell", "1"] + BOUND,
+                       ("--lbig", "--const")),
+    "bound-main": (["bound", "--kind", "main", "--m", "1", "--n", "64",
+                    "--lbig", "4", "--alpha", "-1", "--lambda-val", "0.3409",
+                    "--const", "2"], ("--ell", "--kappa")),
+    "bound-unconfined": (["bound", "--kind", "unconfined", "--m", "1",
+                          "--alpha", "-1", "--lambda-val", "0.3409"],
+                         ("--ell", "--kappa", "--lbig", "--const")),
+    "ltcheck": (["ltcheck", "--count", "1", "--n", "2", "--grid", "16",
+                 "--basis", "8"], ()),
+    "spectrum": (["spectrum"], ()),
+}
+
+
+def _float_flags():
+    """The float flags of every subcommand, read from the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a.option_strings[-1] for a in sp._actions
+                   if a.type is float]
+            for name, sp in sub.choices.items()}
+
+
+NONFINITE_CASES = {
+    f"{label} {flag}={value}": base + [f"{flag}={value}"]
+    for label, (base, unread) in BASES.items()
+    for flag in _float_flags()[base[0]] if flag not in unread
+    for value in ("nan", "inf", "-inf")}
+
+
+def test_nonfinite_cases_cover_every_float_flag():
+    covered = {(argv[0], argv[-1].split("=")[0])
+               for argv in NONFINITE_CASES.values()}
+    assert covered == {(name, flag) for name, flags in _float_flags().items()
+                       for flag in flags}
+    # the bases that need no Lambda search are valid as they stand
+    for base, _ in BASES.values():
+        if base[0] not in ("lambda", "critical-mass"):
+            assert main(base) == 0, base
+
+
+@pytest.mark.parametrize("argv", NONFINITE_CASES.values(),
+                         ids=NONFINITE_CASES.keys())
+def test_nonfinite_float_flag_rejected(monkeypatch, capsys, argv):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a rejected input started a quadrature")
+
+    monkeypatch.setattr(lambda_functional, "_lam_quad_fixed", no_quadrature)
+    assert main(argv) in (2, 3)
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "precondition violated: "))
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["critical-mass", "--lo", "0.45", "--hi", "0.30"], 3),
+    (["critical-mass", "--lo", "0.30", "--hi", "0.30"], 3),
+    (["critical-mass", "--hi", "inf"], 2),
+    (["critical-mass", "--lo", "0"], 2),
+], ids=["lo-above-hi", "lo-equals-hi", "hi-inf", "lo-zero"])
+def test_critical_mass_bracket_checked_before_search(monkeypatch, capsys,
+                                                     argv, code):
+    def no_search(m, cfg):
+        raise AssertionError(f"Lambda({m}) searched for a bad bracket")
+
+    monkeypatch.setattr(lambda_functional, "lambda_of_m", no_search)
+    assert main(argv) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,13 @@ def test_model_params_validation():
         ModelParams(m=1.0, n=0)
     with pytest.raises(DomainError):
         ModelParams(m=1.0, ell=0.0)
+    for bad in ({"m": math.inf}, {"m": math.nan}, {"ell": math.inf},
+                {"alpha": math.inf}, {"alpha": math.nan}, {"mu": math.nan},
+                {"mu": -math.inf}):
+        with pytest.raises(DomainError):
+            ModelParams(**{"m": 1.0, **bad})
+    # the coupling and the spectral shift may be negative
+    ModelParams(m=1.0, alpha=-1.0, mu=-2.0)
 
 
 def test_lambda_args_fills_a_const():
@@ -39,14 +48,21 @@ def test_lambda_args_fills_a_const():
     assert args.a_const == pytest.approx(0.25)
     with pytest.raises(DomainError):
         LambdaArgs(s_tilde=(1, 0, 0), k_vec=(0, 0, 0), q_mu=-1.0, m=1.0)
+    for bad in ({"q_mu": math.nan}, {"delta": math.nan}, {"ell": math.inf},
+                {"m": math.inf}, {"q_mu": math.inf}):
+        with pytest.raises(DomainError):
+            LambdaArgs(**{"s_tilde": (1, 0, 0), "k_vec": (0, 0, 0),
+                          "q_mu": 1.0, "m": 1.0, **bad})
 
 
 def test_sup_search_config_gauge():
     # the search always fixes |s_tilde| = 1; there is no gauge knob
     with pytest.raises(TypeError):
         SupSearchConfig(gauge="s_tilde")
-    with pytest.raises(PreconditionError):
-        SupSearchConfig(quad_tol=0.0)
+    for bad in ({"quad_tol": 0.0}, {"quad_tol": math.inf},
+                {"m_tol": math.nan}, {"m_tol": -math.inf}):
+        with pytest.raises(PreconditionError):
+            SupSearchConfig(**bad)
 
 
 def test_lambda_result_validation():
