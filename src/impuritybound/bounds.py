@@ -26,7 +26,8 @@ __all__ = [
     "PROVENANCES", "A_CONST_RULE", "ConstantsRegistry", "BoundReport",
     "weyl_c_t", "enumerate_c_t", "fit_c_l_prime", "sweep_l_gap",
     "n_zero", "mu_star", "bound_unconfined", "bound_confined", "bound_main",
-    "choose_ell", "kappa_default", "build_registry", "default_registry",
+    "check_kappa", "check_fitted_const", "choose_ell", "kappa_default",
+    "build_registry", "default_registry",
 ]
 
 PROVENANCES = ("enumerated", "fitted", "measured", "paper-fixed", "sourced")
@@ -241,10 +242,23 @@ def kappa_default(m: float, registry: ConstantsRegistry,
     return registry.value("c_t") * (1.0 - lam) / 2.0
 
 
-def _check_cond_kappa(kappa, lam, c_t):
+def check_kappa(kappa, c_t):
+    """The confinement weight's range: kappa in [0, c_T)."""
     if not 0 <= kappa < c_t:
         raise PreconditionError(
             f"kappa must lie in [0, c_T) = [0, {c_t}), got {kappa}")
+
+
+def check_fitted_const(fitted_const):
+    """The main bound's overall constant: finite and positive."""
+    check_domain("fitted_const", fitted_const)
+    if not fitted_const > 0:
+        raise PreconditionError(
+            f"fitted_const must be positive, got {fitted_const}")
+
+
+def _check_cond_kappa(kappa, lam, c_t):
+    check_kappa(kappa, c_t)
     if not 1.0 - kappa / c_t > lam:
         raise PreconditionError(
             f"stability condition fails: 1 - kappa/c_T = {1.0 - kappa / c_t} "
@@ -361,10 +375,7 @@ def bound_main(m: float, n: int, lbig: float, alpha: float,
     if lam >= 1.0:
         raise StabilityRegimeError(
             f"Lambda = {lam} >= 1: outside the stability regime")
-    check_domain("fitted_const", fitted_const)
-    if not fitted_const > 0:
-        raise PreconditionError(
-            f"fitted_const must be positive, got {fitted_const}")
+    check_fitted_const(fitted_const)
     rho_bar = n / lbig ** 3
     _, e_dirichlet = sum_lowest(lbig, n)
     alpha_neg = min(alpha, 0.0)

@@ -156,6 +156,8 @@ def r_function(rho: float, mu: float, lbig: float) -> float:
     """R(rho): integral over e of (sqrt(rho) - sqrt(f(e)))_+^2, evaluated
     exactly on the step structure of the shell count f."""
     check_domain("rho", rho, 0.0, strict=False)
+    check_domain("mu", mu, 0.0)
+    check_domain("lbig", lbig, 0.0)
     if rho == 0.0:
         return 0.0
     meas = (2.0 / lbig) ** 3
@@ -201,6 +203,7 @@ class PotentialGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        check_domain("lbig", self.lbig, 0.0)
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or len(set(v.shape)) != 1:
             raise DomainError(f"potential grid must be cubic, got shape {v.shape}")

@@ -115,11 +115,23 @@ def cmd_calibrate(args):
 
 def cmd_bound(args):
     from .bounds import (ConstantsRegistry, bound_confined, bound_main,
-                         bound_unconfined, default_registry, kappa_default)
+                         bound_unconfined, check_fitted_const, check_kappa,
+                         default_registry, kappa_default)
     reg = (ConstantsRegistry.load(args.registry) if args.registry
            else default_registry())
     if args.kind == "main" and (args.lbig is None or args.const is None):
         raise DomainError("--kind main requires --lbig and --const")
+    # the calculator's own checks of the flags its kind reads, so that a
+    # bad flag exits before any Lambda(m) search
+    check_domain("m", args.m, 0.0)
+    check_domain("alpha", args.alpha)
+    if args.kind == "confined":
+        check_domain("ell", args.ell, 0.0)
+        if args.kappa is not None:
+            check_kappa(args.kappa, reg.value("c_t"))
+    elif args.kind == "main":
+        check_domain("lbig", args.lbig, 0.0)
+        check_fitted_const(args.const)
     lam = args.lambda_val
     if lam is None and args.kind != "unconfined":
         from .lambda_functional import lambda_of_m

@@ -1,10 +1,14 @@
 """Pointwise mathematical kernels shared by all other modules.
 
-All functions are pure and accept plain floats / 3-vectors. Vectorized
-variants used by the integrators live in :mod:`impuritybound.lambda_functional`.
+All functions are pure and accept plain floats / 3-vectors. The lambda
+kernel's point formula (:meth:`LambdaSetup.value`) also takes arrays; the
+lattice sum of :mod:`impuritybound.lambda_functional` evaluates it on
+blocks of lattice points and :func:`lambda_kernel` on one point.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,36 +57,61 @@ def lambda_coefficients(m: float):
     return c1, a, c4
 
 
+def quartic_root_factor(c1: float, s2: float, B: float) -> float:
+    """(c1 |s|^2 + B)^(-1/4), the t-independent quartic root of the lambda
+    kernel; B = a(2 Q^2 + A K.K) vanishes only at Q = K = 0."""
+    quart_s = c1 * s2 + B
+    if quart_s <= 0:
+        raise DomainError("vanishing quartic-root factor; require q_mu > 0, "
+                          "s != 0 or K != 0")
+    return quart_s**-0.25
+
+
+class LambdaSetup:
+    """The t-independent part of lambda_{s,Q,K,m,delta}(t): A*K, delta/ell^2,
+    |s|^2, B = a(2 Q^2 + A K.K), c1, c4 and the prefactor
+    (|s - AK|^2 + 2 Q^2 + n delta/ell^2) / (pi^2 (1+m)) (c1 |s|^2 + B)^(-1/4).
+    """
+
+    def __init__(self, args: LambdaArgs):
+        self.s = np.asarray(args.s_tilde)
+        K = np.asarray(args.k_vec)
+        m, A, Q = args.m, args.a_const, args.q_mu
+        self.c1, a, self.c4 = lambda_coefficients(m)
+        self.ak = A * K
+        self.B = a * (2.0 * Q * Q + A * float(K @ K))
+        self.dreg = args.delta / args.ell**2
+        self.s2 = float(self.s @ self.s)
+        sk2 = float((self.s - self.ak) @ (self.s - self.ak))
+        self.pref = (sk2 + 2.0 * Q * Q + args.n * self.dreg) / (
+            math.pi**2 * (1.0 + m)) * quartic_root_factor(self.c1, self.s2,
+                                                          self.B)
+
+    def value(self, t2, sdott, sing):
+        """The kernel at points with |t|^2 = t2, s.t = sdott and
+        |t - AK|^2 + delta/ell^2 = sing (scalars or arrays), as
+        pref (c1 t2 + B)^(-1/4) / sing |s.t| / (bracket^2 - (c4 s.t)^2)
+        with bracket = |s|^2 + t2 + B. It is 0 where s.t = 0, which is its
+        limit also at t = 0 when B = 0."""
+        bracket = self.s2 + t2 + self.B
+        denom = bracket * bracket - (self.c4 * sdott) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = (self.pref * (self.c1 * t2 + self.B) ** -0.25 / sing
+                   * np.abs(sdott) / denom)
+        # c1 t2 + B vanishes only at t = 0 with B = 0, where 0 * inf is NaN
+        return val if self.B > 0.0 else np.where(sdott == 0.0, 0.0, val)
+
+
 def lambda_kernel(args: LambdaArgs, t_tilde) -> float:
     """Pointwise value of the weight kernel lambda_{s,Q,K,m,delta}(t)."""
     t = as_momentum(t_tilde)
-    s = np.asarray(args.s_tilde)
-    K = np.asarray(args.k_vec)
-    m, A, Q, delta = args.m, args.a_const, args.q_mu, args.delta
-    c1, a, c4 = lambda_coefficients(m)
-    B = a * (2.0 * Q * Q + A * float(K @ K))
-    ak = A * K
-    dreg = delta / args.ell**2
-
-    sing = float((t - ak) @ (t - ak)) + dreg
+    setup = LambdaSetup(args)
+    sing = float((t - setup.ak) @ (t - setup.ak)) + setup.dreg
     if sing <= 0:
         raise DomainError(
             "singular point: t_tilde = A*K with delta = 0; integrators must "
             "exclude or transform this point")
-    quart_s = c1 * float(s @ s) + B
-    quart_t = c1 * float(t @ t) + B
-    if quart_s <= 0 or quart_t <= 0:
-        raise DomainError(
-            "vanishing quartic-root factor; require q_mu > 0 or delta > 0")
-    sdott = float(s @ t)
-    bracket = float(s @ s) + float(t @ t) + B
-    denom = bracket**2 - (c4 * sdott) ** 2
-    if denom <= 0:
-        raise DomainError("vanishing cross-term denominator")
-
-    pref = (float((s - ak) @ (s - ak)) + 2.0 * Q * Q + args.n * dreg) / (
-        np.pi**2 * (1.0 + m))
-    return pref * quart_s**-0.25 / sing * quart_t**-0.25 * abs(sdott) / denom
+    return float(setup.value(t @ t, setup.s @ t, sing))
 
 
 def s_function(rho: float, mu: float) -> float:

@@ -14,7 +14,6 @@ lattice sum likewise walks its index box in blocks of z-slabs.
 
 from __future__ import annotations
 
-import csv
 import math
 from functools import lru_cache
 
@@ -24,13 +23,13 @@ from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
 
 from .errors import AccuracyError, DomainError, PreconditionError, SearchError
-from .kernels import lambda_coefficients
+from .kernels import LambdaSetup, lambda_coefficients, quartic_root_factor
 from .params import (LambdaArgs, LambdaResult, SupSearchConfig, check_domain,
                      default_a_const)
 
 __all__ = [
     "integrate_lambda", "lambda_of_m", "critical_mass", "lattice_lambda_sum",
-    "lambda_tilde", "fit_c_lambda", "write_sweep_csv", "LatticeSumResult",
+    "lambda_tilde", "fit_c_lambda", "LatticeSumResult",
 ]
 
 
@@ -104,10 +103,7 @@ def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
 
     pref = (sx * sx + (sz - ak) ** 2 + 2.0 * Q * Q + n * dreg) / (
         math.pi**2 * (1.0 + m))
-    quart_s = c1 * s2 + B
-    if quart_s <= 0:
-        raise DomainError("vanishing quartic-root factor; require q_mu > 0 or delta > 0")
-    pref *= quart_s**-0.25
+    pref *= quartic_root_factor(c1, s2, B)
 
     scale = math.sqrt(s2 + 2.0 * Q * Q + ak * ak + B + dreg)
     if scale == 0.0:
@@ -351,27 +347,14 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
     """
     check_domain("cutoff", cutoff, 0.0, strict=False)
     h = 2.0 * math.pi / args.ell
-    s = np.asarray(args.s_tilde)
-    K = np.asarray(args.k_vec)
-    m, A, Q = args.m, args.a_const, args.q_mu
-    ak = A * K
+    ak = args.a_const * np.asarray(args.k_vec)
     if args.delta == 0.0:
         # reject an exactly singular lattice point
         frac = ak / h - np.round(ak / h)
         if np.all(np.abs(frac) < 1e-12):
             raise DomainError(
                 "delta = 0 with A*K on the lattice: summand is singular")
-    c1, a, c4 = lambda_coefficients(m)
-    B = a * (2.0 * Q * Q + A * float(K @ K))
-    dreg = args.delta / args.ell**2
-    s2 = float(s @ s)
-    pref = (float((s - ak) @ (s - ak)) + 2.0 * Q * Q + args.n * dreg) / (
-        math.pi**2 * (1.0 + m))
-    quart_s = c1 * s2 + B
-    if quart_s <= 0:
-        raise DomainError("vanishing quartic-root factor; require q_mu > 0, "
-                          "s != 0 or K != 0")
-    pref *= quart_s**-0.25
+    kernel = LambdaSetup(args)
 
     nmax = int(math.ceil(cutoff / h))
     hn = np.arange(-nmax, nmax + 1) * h
@@ -397,7 +380,7 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
         if idx.size == 0:
             continue
         sing = d2[idx]
-        sing += dreg
+        sing += kernel.dreg
         if np.any(sing <= 0):
             raise DomainError(
                 "lattice point coincides with the singular point at delta=0")
@@ -415,10 +398,8 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
         # one product per slab: BLAS row results can depend on the row count
         sdott = np.empty(idx.size)
         for lo, hi in spans:
-            sdott[lo:hi] = pts[lo:hi] @ s
-        bracket = s2 + t2 + B
-        denom = bracket * bracket - (c4 * sdott) ** 2
-        chunk = pref * (c1 * t2 + B) ** -0.25 / sing * np.abs(sdott) / denom
+            sdott[lo:hi] = pts[lo:hi] @ kernel.s
+        chunk = kernel.value(t2, sdott, sing)
         for lo, hi in spans:
             total += float(chunk[lo:hi].sum())
         npts += idx.size
@@ -524,17 +505,3 @@ def fit_c_lambda(sweep) -> float:
         c = max(c, gap * row["m"] * (1.0 - row["kappa"] / row["c_t"]) ** 2
                 * row["n"] ** (2.0 / 9.0))
     return max(c, 1e-12)
-
-
-_SWEEP_COLUMNS = ("m", "kappa", "N", "ell", "delta", "value",
-                  "err_quad", "err_search")
-
-
-def write_sweep_csv(rows, path) -> None:
-    """Emit sweep rows with the documented stable column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                             else row[c] for c in _SWEEP_COLUMNS])

@@ -71,30 +71,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class ShiftedLattice:
-    """Momentum lattice (2*pi/ell) Z^3 translated by an offset vector."""
-
-    spacing: float
-    offset: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        check_domain("spacing", self.spacing, 0.0)
-        object.__setattr__(self, "offset", tuple(as_momentum(self.offset)))
-
-    def points_within(self, center, radius: float) -> np.ndarray:
-        """All lattice points p with |p - center| <= radius, as an (n,3) array."""
-        center = as_momentum(center)
-        off = np.asarray(self.offset)
-        lo = np.floor((center - radius - off) / self.spacing).astype(int)
-        hi = np.ceil((center + radius - off) / self.spacing).astype(int)
-        axes = [np.arange(lo[i], hi[i] + 1) for i in range(3)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        pts = grid * self.spacing + off
-        d2 = ((pts - center) ** 2).sum(axis=1)
-        return pts[d2 <= radius**2]
-
-
-@dataclass(frozen=True)
 class LambdaArgs:
     """Arguments of the lambda kernel other than the integration variable."""
 

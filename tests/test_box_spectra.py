@@ -73,6 +73,14 @@ def test_r_function_against_numeric_integral():
     assert bs.r_function(0.0, mu, lbig) == 0.0
 
 
+@pytest.mark.parametrize("mu, lbig, name", [
+    (math.nan, 2.0, "mu"), (0.0, 2.0, "mu"), (12.0, math.inf, "lbig"),
+    (12.0, 0.0, "lbig"), (12.0, math.nan, "lbig")])
+def test_r_function_rejects_bad_inputs(mu, lbig, name):
+    with pytest.raises(DomainError, match=name):
+        bs.r_function(0.5, mu, lbig)
+
+
 def test_galerkin_exact_at_zero_potential():
     v0 = bs.PotentialGrid(lbig=2.0, values=np.zeros((48, 48, 48)))
     vals = np.sort(bs.galerkin_spectrum(v0, 40))
@@ -105,6 +113,9 @@ def test_potential_grid_validation():
         bs.PotentialGrid(lbig=1.0, values=np.zeros((4, 5, 6)))
     with pytest.raises(DomainError):
         bs.PotentialGrid(lbig=1.0, values=np.full((8, 8, 8), np.nan))
+    for lbig in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="lbig"):
+            bs.PotentialGrid(lbig=lbig, values=np.zeros((4, 4, 4)))
     vpos = bs.PotentialGrid(lbig=1.0, values=np.ones((8, 8, 8)))
     with pytest.raises(PreconditionError):
         vpos.require_nonpositive()

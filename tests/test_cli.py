@@ -227,6 +227,17 @@ BASES = {
 }
 
 
+# bound without --lambda-val, which searches for Lambda(m) once every flag
+# its --kind reads has passed its check
+SEARCH_BASES = {
+    "bound-confined-search": (["bound", "--m", "1", "--n", "1000", "--ell",
+                               "1", "--alpha", "-1"], ("--lbig", "--const")),
+    "bound-main-search": (["bound", "--kind", "main", "--m", "1", "--n", "64",
+                           "--lbig", "4", "--alpha", "-1", "--const", "2"],
+                          ("--ell", "--kappa")),
+}
+
+
 def _float_flags():
     """The float flags of every subcommand, read from the parser."""
     sub = next(a for a in build_parser()._actions
@@ -238,7 +249,7 @@ def _float_flags():
 
 NONFINITE_CASES = {
     f"{label} {flag}={value}": base + [f"{flag}={value}"]
-    for label, (base, unread) in BASES.items()
+    for label, (base, unread) in {**BASES, **SEARCH_BASES}.items()
     for flag in _float_flags()[base[0]] if flag not in unread
     for value in ("nan", "inf", "-inf")}
 
@@ -261,10 +272,29 @@ def test_nonfinite_float_flag_rejected(monkeypatch, capsys, argv):
         raise AssertionError("a rejected input started a quadrature")
 
     monkeypatch.setattr(lambda_functional, "_lam_quad_fixed", no_quadrature)
+    if argv[0] == "bound":
+        # bound checks its flags itself, before any Lambda(m) search
+        monkeypatch.setattr(lambda_functional, "lambda_of_m", no_quadrature)
     assert main(argv) in (2, 3)
     err = capsys.readouterr().err
     assert err.startswith(("error: ", "precondition violated: "))
     assert len(err.splitlines()) == 1
+
+
+# finite bad values; the non-finite ones are SEARCH_BASES cases above
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--m", "1", "--ell", "-1"], 2),
+    (["bound", "--kind", "main", "--m", "1", "--n", "64", "--lbig", "4",
+      "--const", "-2"], 3),
+    (["bound", "--m", "1", "--kappa", "99"], 3),
+], ids=["ell-negative", "const-negative", "kappa-above-c_t"])
+def test_bound_flags_checked_before_search(monkeypatch, capsys, argv, code):
+    def no_search(m, cfg):
+        raise AssertionError(f"Lambda({m}) searched for a bad flag")
+
+    monkeypatch.setattr(lambda_functional, "lambda_of_m", no_search)
+    assert main(argv) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def test_lambda_kernel_degenerate_rejected():
     args = LambdaArgs(s_tilde=(1, 0, 0), k_vec=(0, 0, 0), q_mu=0.0, m=1.0)
     with pytest.raises(DomainError):
         lambda_kernel(args, (0.0, 0.0, 0.0))
+
+
+def test_lambda_kernel_zero_where_s_dot_t_vanishes():
+    """At Q = K = 0 with delta > 0 the point t = 0 is regular, and the
+    kernel takes its limit 0 there, as everywhere on the plane s.t = 0."""
+    args = LambdaArgs(s_tilde=(1, 0, 0), k_vec=(0, 0, 0), q_mu=0.0, m=1.0,
+                      delta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lambda_kernel(args, (0.0, 0.0, 0.0)) == 0.0
+        assert lambda_kernel(args, (0.0, 0.3, -2.0)) == 0.0
+    assert lambda_kernel(args, (1e-3, 0.0, 0.0)) > 0.0
 
 
 @settings(deadline=None, max_examples=200)

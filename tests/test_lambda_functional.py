@@ -1,19 +1,19 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from impuritybound import lambda_functional
 from impuritybound.errors import AccuracyError, DomainError, PreconditionError
-from impuritybound.kernels import lambda_coefficients
+from impuritybound.kernels import lambda_coefficients, lambda_kernel
 from impuritybound.lambda_functional import (_LEVELS, _QUAD_BLOCK_POINTS,
                                              _envelope_tail, _gl,
                                              _hybrid_lattice_sum,
                                              _lam_quad_fixed, critical_mass,
                                              fit_c_lambda, integrate_lambda,
-                                             lattice_lambda_sum,
-                                             write_sweep_csv)
+                                             lattice_lambda_sum)
 from impuritybound.params import (LambdaArgs, LambdaResult, SupSearchConfig,
                                   default_a_const)
 
@@ -302,6 +302,40 @@ def test_lattice_sum_bit_identical_to_slab_loop():
             args, cutoff)
 
 
+def test_lattice_sum_is_kernel_sum():
+    """The lattice sum is h^3 times lambda_kernel summed over the points of
+    L + AK within the cutoff, enumerated here one at a time."""
+    rng = np.random.default_rng(20261023)
+    for i in range(12):
+        m = float(10.0 ** rng.uniform(math.log10(0.3), math.log10(30.0)))
+        s, k = rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-1.0, 2.0)
+        ell = float(rng.choice([0.5, 1.0, 1.7]))
+        args = LambdaArgs(s_tilde=s, k_vec=k, q_mu=float(rng.uniform(0, 3)),
+                          m=m, delta=float(rng.uniform(0.1, 3.0)),
+                          n=int(rng.integers(1, 200)), ell=ell)
+        h = 2.0 * math.pi / ell
+        cutoff = (1.2, 1.5, 2.2)[i % 3] * h
+        ak = args.a_const * np.asarray(k)
+        grid = [h * (np.array(n) - 2) for n in np.ndindex(5, 5, 5)]
+        pts = [p + ak for p in grid if np.linalg.norm(p) <= cutoff]
+        res = lattice_lambda_sum(args, cutoff)
+        assert res.n_points == len(pts) <= 33
+        ref = h**3 * math.fsum(lambda_kernel(args, t) for t in pts)
+        assert float(res) == pytest.approx(ref, rel=1e-14)
+
+
+def test_lattice_sum_finite_at_vanishing_b():
+    """At Q = K = 0 the lattice point t = 0 has s.t = 0 and a vanishing
+    quartic root c1 t^2 + B; its term is the kernel's limit there, 0."""
+    args = LambdaArgs(s_tilde=(1.0, 0.0, 0.0), k_vec=(0.0, 0.0, 0.0),
+                      q_mu=0.0, m=1.0, delta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lattice_lambda_sum(args, 10.0)
+    assert math.isfinite(res) and res > 0.0
+    assert res.n_points == 19
+
+
 def test_lattice_sum_memory_bounded():
     """A whole-box array at this cutoff would be 289^3 * 8 B = 193 MB."""
     tracemalloc.start()
@@ -352,17 +386,3 @@ def test_fit_c_lambda_envelope(lambda_tilde_rows):
                  / (1.0 - row["kappa"] / row["c_t"]) ** 2
                  * row["n"] ** (-2.0 / 9.0))
         assert gap <= bound * (1.0 + 1e-12)
-
-
-def test_write_sweep_csv_roundtrip(tmp_path, lambda_tilde_rows):
-    path = tmp_path / "sweep.csv"
-    rows = [{"m": r["m"], "kappa": r["kappa"], "N": r["n"], "ell": 1.0,
-             "delta": r["delta"], "value": r["value"], "err_quad": 0.0,
-             "err_search": 0.0} for r in lambda_tilde_rows]
-    write_sweep_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "m"
-    assert len(lines) == len(rows) + 1
-    # full-precision serialization round-trips
-    back = float(lines[1].split(",")[5])
-    assert back == rows[0]["value"]

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from impuritybound.errors import DomainError, PreconditionError
 from impuritybound.params import (LambdaArgs, LambdaResult, ModelParams,
-                                  ShiftedLattice, SupSearchConfig,
-                                  as_momentum, default_a_const)
+                                  SupSearchConfig, as_momentum,
+                                  default_a_const)
 
 
 def test_as_momentum_accepts_triples():
@@ -68,15 +67,3 @@ def test_sup_search_config_gauge():
 def test_lambda_result_validation():
     with pytest.raises(DomainError):
         LambdaResult(value=-0.1)
-
-
-@given(st.floats(0.1, 10.0), st.floats(0.5, 5.0))
-def test_lattice_points_within_radius(spacing, radius):
-    lat = ShiftedLattice(spacing=spacing, offset=(0.1, -0.2, 0.3))
-    pts = lat.points_within((0.0, 0.0, 0.0), radius)
-    if len(pts):
-        d = np.linalg.norm(pts, axis=1)
-        assert d.max() <= radius + 1e-12
-    # every returned point is on the lattice
-    rel = (pts - np.asarray(lat.offset)) / spacing
-    assert np.allclose(rel, np.round(rel), atol=1e-9)
