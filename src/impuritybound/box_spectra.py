@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _sci_fft
-from scipy import linalg as _sci_linalg
 
+from ._lazy import lazy_import
 from .errors import DomainError, NumericError, PreconditionError
 from .kernels import s_function_arr
 from .params import check_domain
+
+_sci_fft = lazy_import("scipy.fft")
+_sci_linalg = lazy_import("scipy.linalg")
 
 __all__ = [
     "DirichletSpectrum", "FiniteRankPerturbation", "PotentialGrid",

@@ -113,10 +113,22 @@ def cmd_calibrate(args):
     }, registry_hash=reg.content_hash())
 
 
+# the bound flags that only some kinds read: (those kinds, their default)
+_KIND_FLAGS = {"n": (("confined", "main"), 1000), "ell": (("confined",), 1.0),
+               "kappa": (("confined",), None), "lbig": (("main",), None),
+               "const": (("main",), None)}
+
+
 def cmd_bound(args):
     from .bounds import (ConstantsRegistry, bound_confined, bound_main,
                          bound_unconfined, check_fitted_const, check_kappa,
                          default_registry, kappa_default)
+    for dest, (kinds, default) in _KIND_FLAGS.items():
+        if args.kind not in kinds:
+            if getattr(args, dest) is not None:
+                raise DomainError(f"--{dest} is not read by --kind {args.kind}")
+        elif getattr(args, dest) is None:
+            setattr(args, dest, default)
     reg = (ConstantsRegistry.load(args.registry) if args.registry
            else default_registry())
     if args.kind == "main" and (args.lbig is None or args.const is None):
@@ -250,13 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("confined", "main", "unconfined"),
                     default="confined")
     sp.add_argument("--m", type=float, required=True)
-    sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--ell", type=float, default=1.0)
+    sp.add_argument("--n", type=int,
+                    help="confined and main only; default 1000")
+    sp.add_argument("--ell", type=float,
+                    help="confined only; default 1.0")
     sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--lbig", type=float)
+    sp.add_argument("--kappa", type=float, help="confined only")
+    sp.add_argument("--lbig", type=float, help="main only")
     sp.add_argument("--const", type=float,
-                    help="fitted overall constant for --kind main")
+                    help="fitted overall constant; main only")
     sp.add_argument("--lambda-val", type=float,
                     help="reuse a precomputed functional value")
     sp.add_argument("--registry", help="path to a constants registry")

@@ -19,13 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _sci_integrate
-from scipy import optimize as _sci_optimize
 
+from ._lazy import lazy_import
 from .errors import AccuracyError, DomainError, PreconditionError, SearchError
 from .kernels import LambdaSetup, lambda_coefficients, quartic_root_factor
 from .params import (LambdaArgs, LambdaResult, SupSearchConfig, check_domain,
                      default_a_const)
+
+_sci_integrate = lazy_import("scipy.integrate")
+_sci_optimize = lazy_import("scipy.optimize")
 
 __all__ = [
     "integrate_lambda", "lambda_of_m", "critical_mass", "lattice_lambda_sum",

@@ -16,10 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _sci_fft
 
+from ._lazy import lazy_import
 from .errors import DomainError, NumericError, PreconditionError
 from .params import check_domain
+
+_sci_fft = lazy_import("scipy.fft")
 
 __all__ = [
     "PartitionSpec", "LatticePartition", "build_partition",

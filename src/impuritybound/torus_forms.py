@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
+from ._lazy import lazy_import
 from .errors import DomainError, NumericError, PreconditionError
 from .kernels import l_continuum
 from .params import ModelParams, check_domain
+
+_sci_integrate = lazy_import("scipy.integrate")
 
 __all__ = [
     "SingularAmplitude", "TorusFormBreakdown", "l_periodic", "Mollifier",

@@ -207,34 +207,31 @@ def test_bad_inputs_exit_with_documented_code(capsys, argv, code):
     assert err.startswith(("error: ", "precondition violated: "))
 
 
-# Fast base argv of each subcommand, with the float flags it does not read
-# (each --kind of bound reads its own). A non-finite value of every other
-# float flag must be rejected before any quadrature starts.
+# Fast base argv of each subcommand. A non-finite value of each of its float
+# flags must be rejected before any quadrature starts, whether the flag is
+# one the subcommand (or bound's --kind) reads or not.
 BASES = {
-    "lambda": (["lambda", "--m", "1"], ()),
-    "critical-mass": (["critical-mass"], ()),
-    "bound-confined": (["bound", "--m", "1", "--ell", "1"] + BOUND,
-                       ("--lbig", "--const")),
-    "bound-main": (["bound", "--kind", "main", "--m", "1", "--n", "64",
-                    "--lbig", "4", "--alpha", "-1", "--lambda-val", "0.3409",
-                    "--const", "2"], ("--ell", "--kappa")),
-    "bound-unconfined": (["bound", "--kind", "unconfined", "--m", "1",
-                          "--alpha", "-1", "--lambda-val", "0.3409"],
-                         ("--ell", "--kappa", "--lbig", "--const")),
-    "ltcheck": (["ltcheck", "--count", "1", "--n", "2", "--grid", "16",
-                 "--basis", "8"], ()),
-    "spectrum": (["spectrum"], ()),
+    "lambda": ["lambda", "--m", "1"],
+    "critical-mass": ["critical-mass"],
+    "bound-confined": ["bound", "--m", "1", "--ell", "1"] + BOUND,
+    "bound-main": ["bound", "--kind", "main", "--m", "1", "--n", "64",
+                   "--lbig", "4", "--alpha", "-1", "--lambda-val", "0.3409",
+                   "--const", "2"],
+    "bound-unconfined": ["bound", "--kind", "unconfined", "--m", "1",
+                         "--alpha", "-1", "--lambda-val", "0.3409"],
+    "ltcheck": ["ltcheck", "--count", "1", "--n", "2", "--grid", "16",
+                "--basis", "8"],
+    "spectrum": ["spectrum"],
 }
 
 
 # bound without --lambda-val, which searches for Lambda(m) once every flag
-# its --kind reads has passed its check
+# has passed its check
 SEARCH_BASES = {
-    "bound-confined-search": (["bound", "--m", "1", "--n", "1000", "--ell",
-                               "1", "--alpha", "-1"], ("--lbig", "--const")),
-    "bound-main-search": (["bound", "--kind", "main", "--m", "1", "--n", "64",
-                           "--lbig", "4", "--alpha", "-1", "--const", "2"],
-                          ("--ell", "--kappa")),
+    "bound-confined-search": ["bound", "--m", "1", "--n", "1000", "--ell",
+                              "1", "--alpha", "-1"],
+    "bound-main-search": ["bound", "--kind", "main", "--m", "1", "--n", "64",
+                          "--lbig", "4", "--alpha", "-1", "--const", "2"],
 }
 
 
@@ -249,8 +246,8 @@ def _float_flags():
 
 NONFINITE_CASES = {
     f"{label} {flag}={value}": base + [f"{flag}={value}"]
-    for label, (base, unread) in {**BASES, **SEARCH_BASES}.items()
-    for flag in _float_flags()[base[0]] if flag not in unread
+    for label, base in {**BASES, **SEARCH_BASES}.items()
+    for flag in _float_flags()[base[0]]
     for value in ("nan", "inf", "-inf")}
 
 
@@ -260,7 +257,7 @@ def test_nonfinite_cases_cover_every_float_flag():
     assert covered == {(name, flag) for name, flags in _float_flags().items()
                        for flag in flags}
     # the bases that need no Lambda search are valid as they stand
-    for base, _ in BASES.values():
+    for base in BASES.values():
         if base[0] not in ("lambda", "critical-mass"):
             assert main(base) == 0, base
 
@@ -295,6 +292,46 @@ def test_bound_flags_checked_before_search(monkeypatch, capsys, argv, code):
     monkeypatch.setattr(lambda_functional, "lambda_of_m", no_search)
     assert main(argv) == code
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# (kind base, a flag that kind does not read, a value: valid for a kind
+# that reads the flag or not, it is rejected)
+UNREAD_CASES = [
+    ("bound-main", "--ell", "1"), ("bound-main", "--ell", "nan"),
+    ("bound-main", "--kappa", "1"), ("bound-main", "--kappa", "inf"),
+    ("bound-confined", "--lbig", "4"), ("bound-confined", "--const", "2"),
+    ("bound-unconfined", "--ell", "-5"), ("bound-unconfined", "--kappa", "99"),
+    ("bound-unconfined", "--lbig", "nan"),
+    ("bound-unconfined", "--const", "inf"),
+    ("bound-unconfined", "--n", "1000"),
+]
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("label, flag, value", UNREAD_CASES,
+                         ids=[f"{label} {flag}={value}"
+                              for label, flag, value in UNREAD_CASES])
+def test_bound_rejects_flag_its_kind_does_not_read(capsys, tmp_path, label,
+                                                   flag, value, source):
+    if source == "argv":
+        extra = [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        extra = ["--config", str(cfg)]
+    assert main(BASES[label] + extra) == 2
+    kind = label.split("-")[1]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} is not read by --kind {kind}"]
+
+
+def test_bound_confined_ell_defaults_to_one(capsys):
+    base = ["bound", "--m", "1"] + BOUND
+    assert main(base) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(base + ["--ell", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == default
+    assert default["inputs"]["ell"] == 1.0
 
 
 @pytest.mark.parametrize("argv, code", [

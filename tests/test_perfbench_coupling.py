@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 
 from impuritybound import bounds as bd
+from impuritybound import box_spectra as bs
 from impuritybound import cli
 from impuritybound import lambda_functional as lf
 from impuritybound import localization as loc
@@ -39,6 +40,9 @@ def test_perfbench_tracing_reads_package_names():
                            1.0, *lf._LEVELS[0])
         tf.l_periodic(ModelParams(m=1.0, mu=1.0, ell=1.0, n=2),
                       np.array([[0.5, 0.0, 0.0], [0.0, 0.3, 0.0]]))
+        # eigh is reached through the proxy over box_spectra._sci_linalg
+        bs.galerkin_spectrum(bs.random_smooth_potential(2.0, seed=1,
+                                                        n_grid=16), 8)
     finally:
         rec.unwrap()
     spans = {s[tracing.NAME]: s for s in rec.spans}
@@ -47,6 +51,8 @@ def test_perfbench_tracing_reads_package_names():
     l_per = spans["l_periodic"][tracing.TAGS]
     assert set(l_per) == {"terms", "nmax"}
     assert l_per["terms"] > 0 and l_per["nmax"] > 0
+    eigh = spans["eigh"]
+    assert rec.spans[eigh[tracing.PARENT]][tracing.NAME] == "galerkin"
     assert all(s[tracing.ERROR] is None for s in rec.spans)
 
 
