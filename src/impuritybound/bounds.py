@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .box_spectra import sum_lowest
+from .box_spectra import _lowest_modes, sum_lowest
 from .errors import DomainError, PreconditionError, StabilityRegimeError
 from .params import ModelParams, SupSearchConfig, check_domain
 
@@ -26,8 +26,8 @@ __all__ = [
     "PROVENANCES", "A_CONST_RULE", "ConstantsRegistry", "BoundReport",
     "weyl_c_t", "enumerate_c_t", "fit_c_l_prime", "sweep_l_gap",
     "n_zero", "mu_star", "bound_unconfined", "bound_confined", "bound_main",
-    "check_kappa", "check_fitted_const", "choose_ell", "kappa_default",
-    "build_registry", "default_registry",
+    "check_kappa", "check_fitted_const", "check_n", "choose_ell",
+    "kappa_default", "build_registry", "default_registry",
 ]
 
 PROVENANCES = ("enumerated", "fitted", "measured", "paper-fixed", "sourced")
@@ -139,17 +139,7 @@ def enumerate_c_t(n_max: int, return_curve: bool = False):
     """
     if n_max < 3:
         raise PreconditionError(f"n_max must be >= 3, got {n_max}")
-    r2 = max(9, int((3.0 * n_max / (4.0 * math.pi) * 1.6) ** (2.0 / 3.0)) + 4)
-    while True:
-        r = int(math.isqrt(r2))
-        ax = np.arange(-r, r + 1)
-        g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
-        n2 = np.sort((g * g).sum(axis=1))
-        n2 = n2[n2 <= r2]
-        if len(n2) >= n_max and n2[n_max - 2] < r2:
-            break
-        r2 *= 2
-    prefix = np.cumsum(n2)
+    prefix = np.cumsum(_lowest_modes(n_max - 1, signed=True)[1])
     ns = np.arange(3, n_max + 1)
     ratios = (0.5 * (2.0 * math.pi) ** 2 * prefix[ns - 2]) / ns ** (5.0 / 3.0)
     value = float(ratios.min())
@@ -257,6 +247,12 @@ def check_fitted_const(fitted_const):
             f"fitted_const must be positive, got {fitted_const}")
 
 
+def check_n(n):
+    """The particle count of the confined and main bounds: n >= 1."""
+    if not n >= 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+
+
 def _check_cond_kappa(kappa, lam, c_t):
     check_kappa(kappa, c_t)
     if not 1.0 - kappa / c_t > lam:
@@ -327,6 +323,7 @@ def bound_confined(m: float, kappa: float, n: int, ell: float, alpha: float,
     check_domain("m", m, 0.0)
     check_domain("ell", ell, 0.0)
     check_domain("alpha", alpha)
+    check_n(n)
     lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     c_t = registry.value("c_t")
     _check_cond_kappa(kappa, lam, c_t)
@@ -371,6 +368,7 @@ def bound_main(m: float, n: int, lbig: float, alpha: float,
     check_domain("m", m, 0.0)
     check_domain("lbig", lbig, 0.0)
     check_domain("alpha", alpha)
+    check_n(n)
     lam = check_domain("lambda_val", lambda_val, 0.0, strict=False)
     if lam >= 1.0:
         raise StabilityRegimeError(
@@ -424,33 +422,25 @@ def _per_m_spread(rows) -> dict:
     return out
 
 
-def build_registry(c_t_nmax: int = 1000, l_rows=None, lambda_rows=None,
-                   m_star_star: float | None = None,
-                   c_eta: float | None = None) -> ConstantsRegistry:
-    """Run (or accept precomputed inputs for) the full calibration and
-    assemble a registry with provenance and manifests."""
+def build_registry(lambda_rows, c_t_nmax: int = 1000) -> ConstantsRegistry:
+    """Run the full calibration and assemble a registry with provenance and
+    manifests. ``lambda_rows`` is the lattice-vs-continuum functional sweep
+    that ``fit_c_lambda`` reads; it is too expensive to run here."""
     from .lambda_functional import critical_mass, fit_c_lambda
+    from .localization import PartitionSpec, build_partition
 
     c_t = enumerate_c_t(c_t_nmax)
-    if l_rows is None:
-        l_rows = sweep_l_gap()
+    l_rows = sweep_l_gap()
     c_lp = fit_c_l_prime(l_rows)
-    if m_star_star is None:
-        m_star_star = critical_mass(SupSearchConfig())
-    if lambda_rows is None:
-        raise PreconditionError(
-            "lambda_rows (the lattice-vs-continuum functional sweep) must "
-            "be supplied; it is too expensive to run implicitly")
+    m_star_star = critical_mass(SupSearchConfig())
     c_lam = fit_c_lambda(lambda_rows)
-    if c_eta is None:
-        from .localization import PartitionSpec, build_partition
-        c_eta = build_partition(PartitionSpec(ell=1.0)).c_eta
+    c_eta = build_partition(PartitionSpec(ell=1.0)).c_eta
     c_l = (m_star_star + 1.0) / (2.0 * m_star_star) * c_lp / c_t
     constants = {
         "c_t": {"value": c_t, "provenance": "enumerated",
                 "manifest": {"n_max": c_t_nmax}},
         "c_l_prime": {"value": c_lp, "provenance": "fitted",
-                      "manifest": {"n_rows": len(list(l_rows)),
+                      "manifest": {"n_rows": len(l_rows),
                                    "per_m_spread": _per_m_spread(l_rows)}},
         "c_l": {"value": c_l, "provenance": "fitted",
                 "manifest": {"derived_from": ["c_l_prime", "c_t",

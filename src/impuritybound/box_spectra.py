@@ -33,12 +33,13 @@ __all__ = [
 ]
 
 
-def _enumerate_n2(n2_max: int):
-    """All n in N^3 (n_j >= 1) with |n|^2 <= n2_max, as an (m, 3) int array."""
-    if n2_max < 3:
+def _enumerate_n2(n2_max: int, signed: bool = False):
+    """All n in N^3 (n_j >= 1), or in Z^3 when ``signed``, with
+    |n|^2 <= n2_max, as an (m, 3) int array in lexicographic order."""
+    if n2_max < (0 if signed else 3):
         return np.empty((0, 3), dtype=int)
     r = int(math.isqrt(n2_max))
-    ax = np.arange(1, r + 1)
+    ax = np.arange(-r if signed else 1, r + 1)
     g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
     return g[(g * g).sum(axis=1) <= n2_max]
 
@@ -75,14 +76,16 @@ class DirichletSpectrum:
         return sum(mult for v, mult, _ in self.levels if v <= mu)
 
 
-def _lowest_modes(count: int):
-    """Labels n in N^3 of an enumeration ball that holds the lowest
-    ``count`` modes strictly inside it, sorted by (|n|^2, n), and their
-    |n|^2. The ball doubles until its ``count``-th mode lies inside, so a
-    level inside is complete."""
-    n2_max = max(12, int((6.0 * count) ** (2.0 / 3.0)) + 16)
+def _lowest_modes(count: int, signed: bool = False):
+    """Labels n in N^3 (Z^3 when ``signed``) of an enumeration ball that
+    holds the lowest ``count`` modes strictly inside it, sorted by
+    (|n|^2, n), and their |n|^2. The ball doubles until its ``count``-th
+    mode lies inside, so a level inside is complete."""
+    # a Z^3 ball holds about 8 times the modes of the N^3 ball
+    n2_max = max(12, int((6.0 * count / (8 if signed else 1)) ** (2.0 / 3.0))
+                 + 16)
     while True:
-        g = _enumerate_n2(n2_max)
+        g = _enumerate_n2(n2_max, signed)
         n2 = (g * g).sum(axis=1)
         # g is in lexicographic order, so a stable sort breaks ties by label
         order = np.argsort(n2, kind="stable")
@@ -91,28 +94,34 @@ def _lowest_modes(count: int):
         n2_max *= 2
 
 
-def dirichlet_levels(lbig: float, count: int) -> DirichletSpectrum:
-    """The ``count`` smallest Dirichlet eigenvalues by exhaustive
-    enumeration of integer triples, with certified completeness (the
-    enumeration ball strictly contains the largest reported level)."""
+def _mode_levels(lbig: float, count: int):
+    """The labels and |n|^2 of ``_lowest_modes(count)`` and their levels
+    (pi/L)^2 |n|^2: the first ``count`` are the lowest Dirichlet modes, and
+    every level up to the ``count``-th mode's is complete."""
     if count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
     check_domain("lbig", lbig, 0.0)
     labels, n2s = _lowest_modes(count)
-    vals, first, mult = np.unique(n2s, return_index=True, return_counts=True)
+    return labels, n2s, (math.pi / lbig) ** 2 * n2s
+
+
+def dirichlet_levels(lbig: float, count: int) -> DirichletSpectrum:
+    """The ``count`` smallest Dirichlet eigenvalues by exhaustive
+    enumeration of integer triples, with certified completeness (the
+    enumeration ball strictly contains the largest reported level)."""
+    labels, n2s, values = _mode_levels(lbig, count)
+    _, first, mult = np.unique(n2s, return_index=True, return_counts=True)
     # the levels up to the one that holds the count-th mode
     nlev = int(np.searchsorted(np.cumsum(mult), count)) + 1
-    scale = (math.pi / lbig) ** 2
-    levels = tuple((scale * float(v), int(k), tuple(labels[f].tolist()))
-                   for v, k, f in zip(vals[:nlev], mult[:nlev], first[:nlev]))
+    levels = tuple((float(values[f]), int(k), tuple(labels[f].tolist()))
+                   for k, f in zip(mult[:nlev], first[:nlev]))
     return DirichletSpectrum(lbig=lbig, levels=levels)
 
 
 def sum_lowest(lbig: float, count: int):
     """Sum of the lowest ``count`` levels in both conventions:
     (full Laplacian -Delta, half Laplacian -Delta/2)."""
-    spec = dirichlet_levels(lbig, count)
-    full = float(spec.eigenvalues(count).sum())
+    full = float(_mode_levels(lbig, count)[2][:count].sum())
     return full, 0.5 * full
 
 
@@ -239,18 +248,16 @@ def galerkin_spectrum(v: PotentialGrid, basis_size: int) -> np.ndarray:
     """
     if basis_size < 1:
         raise PreconditionError(f"basis_size must be >= 1, got {basis_size}")
-    labels = basis_labels(v.lbig, basis_size)
-    nmax = max(max(t) for t in labels)
+    labels, _, levels = _mode_levels(v.lbig, basis_size)
+    lab, p2 = labels[:basis_size], levels[:basis_size]
+    nmax = int(lab.max())
     if 2 * nmax >= v.n_grid:
         raise PreconditionError(
             f"grid resolution {v.n_grid} too coarse for basis frequencies up "
             f"to {2 * nmax} (aliasing)")
     # C[d] = integral of V(x) prod_j cos(pi d_j x_j / L)
     coefs = _sci_fft.dctn(v.values, type=2) * (v.h**3 / 8.0)
-    lab = np.asarray(labels)
-    p2 = (math.pi / v.lbig) ** 2 * (lab * lab).sum(axis=1)
-    nb = len(labels)
-    w = np.zeros((nb, nb))
+    w = np.zeros((basis_size, basis_size))
     diff = np.abs(lab[:, None, :] - lab[None, :, :])
     summ = lab[:, None, :] + lab[None, :, :]
     for eps in range(8):
@@ -301,7 +308,7 @@ def thm_a3_check(v: PotentialGrid, mu: float, basis_size: int = 512):
             "applies in that regime instead")
     vals_v = galerkin_spectrum(v, basis_size)
     tr_v = float(np.minimum(vals_v - mu, 0.0).sum())
-    free = dirichlet_levels(v.lbig, basis_size).eigenvalues(basis_size)
+    free = _mode_levels(v.lbig, basis_size)[2][:basis_size]
     tr_0 = float(np.minimum(free - mu, 0.0).sum())
     ng = v.n_grid
     ax = (np.arange(ng) + 0.5) * v.h
@@ -396,9 +403,8 @@ def phi_sum(k, mu: float, lbig: float) -> float:
     hi = mu + math.sqrt(mu) / lbig
     if lo <= 0:
         return 0.0
-    r = int(math.floor(math.sqrt(lo) * lbig / math.pi)) + 1
-    ax = np.arange(-r, r + 1)
-    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
+    # the ball holds every q with q^2 < lo, whatever the rounding of q^2
+    g = _enumerate_n2(int(lo * (lbig / math.pi) ** 2) + 1, signed=True)
     qs = (math.pi / lbig) * g
     q2 = (qs * qs).sum(axis=1)
     d2 = ((qs - k) ** 2).sum(axis=1)
@@ -422,29 +428,26 @@ def random_admissible_q(lbig: float, mu: float, seed: int
     """
     check_domain("lbig", lbig, 0.0)
     check_domain("mu", mu)
-    # expand multiplicity: enumerate all labels below mu plus a slice above
-    n2_mu = int(mu * (lbig / math.pi) ** 2)
-    lab_below = [tuple(int(c) for c in t) for t in _enumerate_n2(n2_mu)]
-    if not lab_below:
+    # expand multiplicity: all modes below mu plus a slice above
+    n_below = len(_enumerate_n2(int(mu * (lbig / math.pi) ** 2)))
+    if not n_below:
         raise PreconditionError("mu below the lowest Dirichlet level")
     n_above = 12
-    all_lab = basis_labels(lbig, len(lab_below) + n_above)
-    vals = (math.pi / lbig) ** 2 * (np.asarray(all_lab) ** 2).sum(axis=1)
-    labels = [t for t, v in zip(all_lab, vals) if v <= mu]
-    labels += [t for t, v in zip(all_lab, vals) if v > mu][:n_above]
-    nb = len(labels)
+    count = n_below + n_above
+    labels, _, levels = _mode_levels(lbig, count)
+    # the levels ascend, so the modes at or below mu come first
+    nb = min(count, int(np.count_nonzero(levels[:count] <= mu)) + n_above)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((nb, nb))
     a = (a + a.T) / 2.0
     a *= 0.6 / max(np.abs(np.linalg.eigvalsh(a)).max(), 1e-12)
-    pi_m = ((math.pi / lbig) ** 2
-            * (np.asarray(labels) ** 2).sum(axis=1) <= mu).astype(float)
+    pi_m = (levels[:nb] <= mu).astype(float)
     evs, vecs = np.linalg.eigh(a + np.diag(pi_m))
     evs = np.clip(evs, 0.0, 1.0)
     q = vecs @ np.diag(evs) @ vecs.T - np.diag(pi_m)
     q = (q + q.T) / 2.0
-    return FiniteRankPerturbation(lbig=lbig, mu=mu, labels=tuple(labels),
-                                  matrix=q)
+    return FiniteRankPerturbation(lbig=lbig, mu=mu,
+                                  labels=labels[:nb].tolist(), matrix=q)
 
 
 def random_smooth_potential(lbig: float, seed: int, depth: float = 1.0,

@@ -102,7 +102,7 @@ def cmd_calibrate(args):
         lambda_rows = json.loads(ref.read_text())
     else:
         lambda_rows = json.loads(pathlib.Path(args.sweep).read_text())
-    reg = build_registry(c_t_nmax=args.ct_nmax, lambda_rows=lambda_rows)
+    reg = build_registry(lambda_rows, c_t_nmax=args.ct_nmax)
     dest = pathlib.Path(args.write)
     dest.parent.mkdir(parents=True, exist_ok=True)
     reg.save(dest)
@@ -122,7 +122,7 @@ _KIND_FLAGS = {"n": (("confined", "main"), 1000), "ell": (("confined",), 1.0),
 def cmd_bound(args):
     from .bounds import (ConstantsRegistry, bound_confined, bound_main,
                          bound_unconfined, check_fitted_const, check_kappa,
-                         default_registry, kappa_default)
+                         check_n, default_registry, kappa_default)
     for dest, (kinds, default) in _KIND_FLAGS.items():
         if args.kind not in kinds:
             if getattr(args, dest) is not None:
@@ -137,6 +137,8 @@ def cmd_bound(args):
     # bad flag exits before any Lambda(m) search
     check_domain("m", args.m, 0.0)
     check_domain("alpha", args.alpha)
+    if args.kind != "unconfined":
+        check_n(args.n)
     if args.kind == "confined":
         check_domain("ell", args.ell, 0.0)
         if args.kappa is not None:

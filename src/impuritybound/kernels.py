@@ -69,7 +69,7 @@ def quartic_root_factor(c1: float, s2: float, B: float) -> float:
 
 class LambdaSetup:
     """The t-independent part of lambda_{s,Q,K,m,delta}(t): A*K, delta/ell^2,
-    |s|^2, B = a(2 Q^2 + A K.K), c1, c4 and the prefactor
+    |s|^2, |s - AK|^2, B = a(2 Q^2 + A K.K), c1, c4 and the prefactor
     (|s - AK|^2 + 2 Q^2 + n delta/ell^2) / (pi^2 (1+m)) (c1 |s|^2 + B)^(-1/4).
     """
 
@@ -82,8 +82,8 @@ class LambdaSetup:
         self.B = a * (2.0 * Q * Q + A * float(K @ K))
         self.dreg = args.delta / args.ell**2
         self.s2 = float(self.s @ self.s)
-        sk2 = float((self.s - self.ak) @ (self.s - self.ak))
-        self.pref = (sk2 + 2.0 * Q * Q + args.n * self.dreg) / (
+        self.sk2 = float((self.s - self.ak) @ (self.s - self.ak))
+        self.pref = (self.sk2 + 2.0 * Q * Q + args.n * self.dreg) / (
             math.pi**2 * (1.0 + m)) * quartic_root_factor(self.c1, self.s2,
                                                           self.B)
 
@@ -141,5 +141,12 @@ def fhat_infinity(m: float, gamma: float, z) -> float:
     r = float(np.sqrt((z**2).sum())) if z.shape == (3,) else float(abs(z))
     if r <= 0:
         raise DomainError("z must be nonzero")
+    return fhat_infinity_arr(m, gamma, r)
+
+
+def fhat_infinity_arr(m: float, gamma: float, r):
+    """Vectorized fhat_infinity at distances |z| = r > 0, unchecked."""
     eta = np.sqrt(2.0 * m / (m + 1.0)) * np.sqrt(gamma)
-    return np.sqrt(np.pi / 2.0) * (2.0 * m / (1.0 + m)) * np.exp(-eta * r) / r
+    pref = np.sqrt(np.pi / 2.0) * (2.0 * m / (1.0 + m))
+    # the exponential's array first, so that numpy reuses it in place
+    return np.exp(-eta * r) * pref / r

@@ -295,24 +295,21 @@ def critical_mass(cfg: SupSearchConfig = SupSearchConfig(),
 # lattice sums
 
 class LatticeSumResult(float):
-    """Float subclass carrying the tail bound and point count of a sum."""
+    """Float subclass carrying the point count of a sum."""
 
-    def __new__(cls, value, tail_bound, n_points):
+    def __new__(cls, value, n_points):
         obj = super().__new__(cls, value)
-        obj.tail_bound = tail_bound
         obj.n_points = n_points
         return obj
 
 
 def _envelope_tail(args: LambdaArgs, radius: float) -> float:
     """Upper bound on (2 pi/ell)^3 * sum of lambda over |t - AK| > radius,
-    from the closed-form radial envelope of the kernel."""
+    from the closed-form radial envelope of the kernel; the tail bound of
+    ``lattice_lambda_sum(args, radius)``."""
     m, Q = args.m, args.q_mu
-    s = np.asarray(args.s_tilde)
-    K = np.asarray(args.k_vec)
-    ak = args.a_const * K
-    s2 = float((s - ak) @ (s - ak))
-    dreg = args.delta / args.ell**2
+    setup = LambdaSetup(args)
+    s2, dreg = setup.sk2, setup.dreg
     q2 = 2.0 * Q * Q
     if s2 + q2 <= 0:
         return 0.0
@@ -336,7 +333,8 @@ _BLOCK_POINTS = 1 << 13
 
 def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
     """(2 pi/ell)^3 times the kernel summed over the shifted lattice
-    L + A*K within |t - AK| <= cutoff, with an envelope tail bound.
+    L + A*K within |t - AK| <= cutoff; ``_envelope_tail(args, cutoff)``
+    bounds the rest.
 
     The index box [-nmax, nmax]^3 is walked in blocks of whole z-slabs,
     indexed [z, x, y], of at most ``_BLOCK_POINTS`` points (one slab if a
@@ -405,7 +403,7 @@ def lattice_lambda_sum(args: LambdaArgs, cutoff: float) -> LatticeSumResult:
         for lo, hi in spans:
             total += float(chunk[lo:hi].sum())
         npts += idx.size
-    return LatticeSumResult(h**3 * total, _envelope_tail(args, cutoff), npts)
+    return LatticeSumResult(h**3 * total, npts)
 
 
 def _hybrid_lattice_sum(args: LambdaArgs, tol: float = 1e-6) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._lazy import lazy_import
 from .errors import DomainError, NumericError, PreconditionError
-from .kernels import l_continuum
+from .kernels import fhat_infinity_arr, l_continuum
 from .params import ModelParams, check_domain
 
 _sci_integrate = lazy_import("scipy.integrate")
@@ -165,9 +165,7 @@ def _l_periodic_impl(m, mu, ell, k1, khat_sq):
     rng = np.arange(-nmax, nmax + 1)
     Z = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
     Z = Z[(Z * Z).sum(axis=1) > 0].astype(float) * ell
-    r = np.sqrt((Z * Z).sum(axis=1))
-    fh = (math.sqrt(math.pi / 2.0) * (2.0 * m / (1.0 + m))
-          * np.exp(-math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * r) / r)
+    fh = fhat_infinity_arr(m, gamma, np.sqrt((Z * Z).sum(axis=1)))
     corr = float((np.cos(Z @ off) * fh).sum())
     return (base - (2.0 * math.pi) ** 1.5 * corr,
             {"nmax": nmax, "n_terms": int(Z.shape[0])})
@@ -406,9 +404,8 @@ def off_bound_check(xi: SingularAmplitude, params: ModelParams,
     meas = xi.spacing ** (3 * xi.n)
     terms = []
     for key, amp in xi.items():
-        ks = np.asarray([xi.momentum(t) for t in key])
-        khat_sq = float((ks[1:] ** 2).sum())
-        terms.append(abs(amp) ** 2 * l_continuum(params, ks[0], khat_sq))
+        k1, khat_sq = _split_kvec(params, [xi.momentum(t) for t in key])
+        terms.append(abs(amp) ** 2 * l_continuum(params, k1, khat_sq))
     weighted = meas * math.fsum(terms)
     rhs = -lambda_tilde_val / (1.0 - kappa / c_t) * weighted
     return lhs, rhs

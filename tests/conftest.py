@@ -34,6 +34,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num in sorted(CRITERIA):
         status = outcomes.get(num, "not run")
-        verdict = "PASS" if status == "passed" else "FAIL"
+        verdict = {"passed": "PASS", "not run": "NOT RUN"}.get(status, "FAIL")
         terminalreporter.write_line(
             f"criterion {num:2d}: {verdict} - {CRITERIA[num]}")

@@ -56,6 +56,7 @@ CRITERIA = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_01_critical_mass():
     cfg = SupSearchConfig()
     root = critical_mass(cfg)
@@ -64,6 +65,7 @@ def test_criterion_01_critical_mass():
     assert abs(root - root_finer) < 1e-3
 
 
+@pytest.mark.slow
 def test_criterion_02_lambda_decay():
     lam = {m: lambda_of_m(m).value
            for m in (0.30, 0.45, 1.0, 3.0, 10.0, 30.0, 100.0)}
@@ -92,6 +94,7 @@ def test_criterion_03_kernel_homogeneity():
         assert scaled == pytest.approx(base / nu**3, rel=1e-12)
 
 
+@pytest.mark.slow
 def test_criterion_04_periodic_kernel_oracle(registry):
     rng = np.random.default_rng(7)
     shapes = (Mollifier(shape=2.0), Mollifier(shape=3.0))
@@ -143,6 +146,7 @@ def test_criterion_06_form_positivity(registry):
         assert lhs >= rhs
 
 
+@pytest.mark.slow
 def test_criterion_07_lattice_gap_law(lambda_tilde_rows):
     c_lam = fit_c_lambda(lambda_tilde_rows)
     assert c_lam > 0.0
@@ -170,6 +174,7 @@ def test_criterion_07_lattice_gap_law(lambda_tilde_rows):
     assert live.value == pytest.approx(row["value"], abs=1e-4)
 
 
+@pytest.mark.slow
 def test_criterion_08_appendix_suite():
     # exact finite-rank trace inequality on 100 admissible perturbations
     for seed in range(100):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from impuritybound import bounds as bd
@@ -20,6 +21,39 @@ def test_c_t_stability_and_asymptote():
     assert abs(v4 - v3) / v3 < 1e-3
     _, ns, curve = bd.enumerate_c_t(5000, return_curve=True)
     assert curve[-1] == pytest.approx(bd.weyl_c_t(), rel=5e-3)
+
+
+def _own_cube_c_t(n_max):
+    """enumerate_c_t's own certified-doubling loop over a Z^3 cube, before
+    it read box_spectra's lowest modes; kept as its oracle. Returns the
+    value and the curve."""
+    r2 = max(9, int((3.0 * n_max / (4.0 * math.pi) * 1.6) ** (2.0 / 3.0)) + 4)
+    while True:
+        r = int(math.isqrt(r2))
+        ax = np.arange(-r, r + 1)
+        g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
+        n2 = np.sort((g * g).sum(axis=1))
+        n2 = n2[n2 <= r2]
+        if len(n2) >= n_max and n2[n_max - 2] < r2:
+            break
+        r2 *= 2
+    prefix = np.cumsum(n2)
+    ns = np.arange(3, n_max + 1)
+    ratios = (0.5 * (2.0 * math.pi) ** 2 * prefix[ns - 2]) / ns ** (5.0 / 3.0)
+    return float(ratios.min()), ratios
+
+
+def test_enumerate_c_t_bit_identical_to_own_cube():
+    rng = np.random.default_rng(20261019)
+    sizes = list(range(3, 80)) + [1000, 5000, 10000] + [
+        int(n) for n in rng.integers(80, 10001, size=12)]
+    for n_max in sizes:
+        value, ns, curve = bd.enumerate_c_t(n_max, return_curve=True)
+        ref_value, ref_curve = _own_cube_c_t(n_max)
+        assert value.hex() == ref_value.hex(), n_max
+        assert [x.hex() for x in curve.tolist()] == [
+            x.hex() for x in ref_curve.tolist()], n_max
+        assert ns.tolist() == list(range(3, n_max + 1))
 
 
 def test_fit_c_l_prime_envelope():
@@ -172,6 +206,16 @@ def test_bound_main_correction_density_only(registry):
     with pytest.raises(StabilityRegimeError):
         bd.bound_main(1.0, 8, 2.0, 0.0, registry, fitted_const=1.0,
                       lambda_val=1.5)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_bounds_reject_n_below_one(registry, n):
+    with pytest.raises(PreconditionError, match=f"n must be >= 1, got {n}"):
+        bd.bound_confined(1.0, 1.0, n, 1.0, -1.0, registry,
+                          lambda_val=0.3409)
+    with pytest.raises(PreconditionError, match=f"n must be >= 1, got {n}"):
+        bd.bound_main(1.0, n, 4.0, -1.0, registry, fitted_const=1.0,
+                      lambda_val=0.3409)
 
 
 def test_choose_ell():

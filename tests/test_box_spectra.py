@@ -207,3 +207,176 @@ def test_lowest_modes_bit_identical_to_doubling_loops():
             assert bs.dirichlet_levels(lbig, count).levels == _scan_levels(
                 lbig, count)
         assert bs.basis_labels(1.0, count) == _scan_labels(count)
+
+
+def _hexes(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _scan_eigenvalues(lbig, count):
+    """The lowest ``count`` levels with multiplicity, as
+    DirichletSpectrum.eigenvalues listed them from the scanned levels."""
+    out = []
+    for v, mult, _ in _scan_levels(lbig, count):
+        out.extend([v] * mult)
+    return np.asarray(out[:count])
+
+
+def test_sum_lowest_bit_identical_to_level_scan():
+    """sum_lowest used to sum DirichletSpectrum.eigenvalues; it now sums
+    the mode levels directly."""
+    rng = np.random.default_rng(20261019)
+    counts = list(range(1, 65)) + [100, 1000] + [
+        int(c) for c in rng.integers(65, 20001, size=6)]
+    for count in counts:
+        for lbig in (0.7, 1.0, math.pi):
+            full = float(_scan_eigenvalues(lbig, count).sum())
+            assert [x.hex() for x in bs.sum_lowest(lbig, count)] == [
+                full.hex(), (0.5 * full).hex()], (lbig, count)
+    for lbig, count in ((40.0, 100000), (2.5, 65536), (0.3, 99991)):
+        full = float(_scan_eigenvalues(lbig, count).sum())
+        assert bs.sum_lowest(lbig, count)[0].hex() == full.hex()
+
+
+def _label_galerkin(v, basis_size):
+    """galerkin_spectrum as it read basis_labels' tuples and formed the
+    levels from them; kept as its oracle."""
+    import scipy.fft
+    import scipy.linalg
+    if basis_size < 1:
+        raise PreconditionError(f"basis_size must be >= 1, got {basis_size}")
+    labels = bs.basis_labels(v.lbig, basis_size)
+    nmax = max(max(t) for t in labels)
+    if 2 * nmax >= v.n_grid:
+        raise PreconditionError(
+            f"grid resolution {v.n_grid} too coarse for basis frequencies up "
+            f"to {2 * nmax} (aliasing)")
+    coefs = scipy.fft.dctn(v.values, type=2) * (v.h**3 / 8.0)
+    lab = np.asarray(labels)
+    p2 = (math.pi / v.lbig) ** 2 * (lab * lab).sum(axis=1)
+    nb = len(labels)
+    w = np.zeros((nb, nb))
+    diff = np.abs(lab[:, None, :] - lab[None, :, :])
+    summ = lab[:, None, :] + lab[None, :, :]
+    for eps in range(8):
+        bits = [(eps >> b) & 1 for b in range(3)]
+        d = np.where(np.array(bits, dtype=bool)[None, None, :], summ, diff)
+        sign = (-1.0) ** sum(bits)
+        w += sign * coefs[d[..., 0], d[..., 1], d[..., 2]]
+    w *= (2.0 / v.lbig) ** 3 / 8.0
+    return scipy.linalg.eigh(np.diag(p2) + w, eigvals_only=True)
+
+
+def _label_thm_a3(v, mu, basis_size):
+    """thm_a3_check as it read the free levels from dirichlet_levels."""
+    vals_v = _label_galerkin(v, basis_size)
+    tr_v = float(np.minimum(vals_v - mu, 0.0).sum())
+    free = _scan_eigenvalues(v.lbig, basis_size)
+    tr_0 = float(np.minimum(free - mu, 0.0).sum())
+    ng = v.n_grid
+    ax = (np.arange(ng) + 0.5) * v.h
+    xs = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1)
+    rho_v = float((bs.rho0(xs, v.lbig, mu) * v.values).sum()) * v.h**3
+    rhs = (math.sqrt(mu) * v.integral(2.0) + v.integral(2.5)
+           + mu / v.lbig * v.integral(1.0))
+    return tr_v - tr_0 - rho_v, rhs
+
+
+def test_galerkin_and_thm_a3_bit_identical_to_label_path():
+    rng = np.random.default_rng(20261020)
+    for i in range(16):
+        lbig = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        n_grid = int(rng.choice([12, 16, 20, 24]))
+        basis = int(rng.choice([1, 2, 7, 8, 27, 40, 64, 100]))
+        v = bs.random_smooth_potential(lbig, seed=int(rng.integers(1000)),
+                                       depth=float(rng.uniform(0.5, 3.0)),
+                                       n_grid=n_grid)
+        try:
+            ref = _label_galerkin(v, basis)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as new:
+                bs.galerkin_spectrum(v, basis)
+            assert str(new.value) == str(exc)
+            continue
+        assert _hexes(bs.galerkin_spectrum(v, basis)) == _hexes(ref)
+        mu = 3.0 * math.pi**2 / lbig**2 * float(rng.uniform(1.0, 3.0))
+        assert _hexes(bs.thm_a3_check(v, mu, basis)) == _hexes(
+            _label_thm_a3(v, mu, basis))
+
+
+def _label_admissible_q(lbig, mu, seed):
+    """random_admissible_q as it built label tuples and their levels;
+    returns its labels and matrix."""
+    n2_mu = int(mu * (lbig / math.pi) ** 2)
+    lab_below = [tuple(int(c) for c in t) for t in bs._enumerate_n2(n2_mu)]
+    if not lab_below:
+        raise PreconditionError("mu below the lowest Dirichlet level")
+    all_lab = bs.basis_labels(lbig, len(lab_below) + 12)
+    vals = (math.pi / lbig) ** 2 * (np.asarray(all_lab) ** 2).sum(axis=1)
+    labels = [t for t, v in zip(all_lab, vals) if v <= mu]
+    labels += [t for t, v in zip(all_lab, vals) if v > mu][:12]
+    nb = len(labels)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((nb, nb))
+    a = (a + a.T) / 2.0
+    a *= 0.6 / max(np.abs(np.linalg.eigvalsh(a)).max(), 1e-12)
+    pi_m = ((math.pi / lbig) ** 2
+            * (np.asarray(labels) ** 2).sum(axis=1) <= mu).astype(float)
+    evs, vecs = np.linalg.eigh(a + np.diag(pi_m))
+    evs = np.clip(evs, 0.0, 1.0)
+    q = vecs @ np.diag(evs) @ vecs.T - np.diag(pi_m)
+    return tuple(labels), (q + q.T) / 2.0
+
+
+def test_random_admissible_q_bit_identical_to_label_path():
+    rng = np.random.default_rng(20261021)
+    cases = [(2.0, 12.0), (math.pi, 6.0), (math.pi, 9.0), (1.0, 29.7),
+             (2.0, 3.0 * math.pi**2 / 4.0)]
+    for _ in range(10):
+        lbig = float(rng.uniform(1.0, 3.0))
+        cases.append((lbig, 3.0 * math.pi**2 / lbig**2
+                      * float(rng.uniform(1.0, 4.0))))
+    for lbig, mu in cases:
+        seed = int(rng.integers(2**31))
+        labels, q = _label_admissible_q(lbig, mu, seed)
+        new = bs.random_admissible_q(lbig, mu, seed)
+        assert new.labels == labels
+        assert _hexes(new.matrix) == _hexes(q)
+    with pytest.raises(PreconditionError, match="mu below"):
+        bs.random_admissible_q(2.0, 3.0 * math.pi**2 / 4.0 * 0.999, 1)
+
+
+def _own_cube_phi_sum(k, mu, lbig):
+    """phi_sum over its own cube of Z^3, before it read the ball of
+    _enumerate_n2; kept as its oracle."""
+    k = np.asarray(k, dtype=float)
+    lo = mu - math.sqrt(mu) / lbig
+    hi = mu + math.sqrt(mu) / lbig
+    if lo <= 0:
+        return 0.0
+    r = int(math.floor(math.sqrt(lo) * lbig / math.pi)) + 1
+    ax = np.arange(-r, r + 1)
+    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
+    qs = (math.pi / lbig) * g
+    q2 = (qs * qs).sum(axis=1)
+    d2 = ((qs - k) ** 2).sum(axis=1)
+    sel = (q2 < lo) & (d2 > hi)
+    if not sel.any():
+        return 0.0
+    terms = 1.0 / (np.sqrt(mu - q2[sel]) * np.sqrt(d2[sel] - mu))
+    return float(terms.sum()) / lbig**3
+
+
+def test_phi_sum_bit_identical_to_own_cube():
+    rng = np.random.default_rng(20261022)
+    for _ in range(60):
+        lbig = float(rng.choice([1.0, 2.0, 3.0, 5.0, math.pi]))
+        mu = 3.0 * math.pi**2 / lbig**2 * float(10.0 ** rng.uniform(0, 2))
+        k = rng.standard_normal(3) * math.sqrt(mu) * float(rng.uniform(0, 3))
+        assert bs.phi_sum(k, mu, lbig).hex() == _own_cube_phi_sum(
+            k, mu, lbig).hex()
+    # the levels at L = pi are integers: q^2 = lo exactly on a shell
+    for mu in (4.0, 9.0, 16.0, 36.0):
+        k = [1.0, 0.5, 0.0]
+        assert bs.phi_sum(k, mu, math.pi).hex() == _own_cube_phi_sum(
+            k, mu, math.pi).hex()

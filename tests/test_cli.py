@@ -284,14 +284,23 @@ def test_nonfinite_float_flag_rejected(monkeypatch, capsys, argv):
     (["bound", "--kind", "main", "--m", "1", "--n", "64", "--lbig", "4",
       "--const", "-2"], 3),
     (["bound", "--m", "1", "--kappa", "99"], 3),
-], ids=["ell-negative", "const-negative", "kappa-above-c_t"])
+    (["bound", "--m", "1", "--n", "0"], 3),
+    (["bound", "--m", "1", "--n", "-5", "--ell", "1", "--alpha", "-1"], 3),
+    (["bound", "--kind", "main", "--m", "1", "--n", "0", "--lbig", "4",
+      "--const", "2"], 3),
+], ids=["ell-negative", "const-negative", "kappa-above-c_t", "n-zero",
+        "n-negative", "main-n-zero"])
 def test_bound_flags_checked_before_search(monkeypatch, capsys, argv, code):
     def no_search(m, cfg):
         raise AssertionError(f"Lambda({m}) searched for a bad flag")
 
     monkeypatch.setattr(lambda_functional, "lambda_of_m", no_search)
     assert main(argv) == code
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 1
+    if n < 1:
+        assert err == [f"precondition violated: n must be >= 1, got {n}"]
 
 
 # (kind base, a flag that kind does not read, a value: valid for a kind
@@ -348,3 +357,21 @@ def test_critical_mass_bracket_checked_before_search(monkeypatch, capsys,
     monkeypatch.setattr(lambda_functional, "lambda_of_m", no_search)
     assert main(argv) == code
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_calibrate_writes_a_valid_registry(monkeypatch, capsys, tmp_path):
+    """The calibration pipeline end to end, with the critical-mass search
+    (minutes at the default config) replaced by a fixed root."""
+    from impuritybound.bounds import ConstantsRegistry, enumerate_c_t
+
+    monkeypatch.setattr(lambda_functional, "critical_mass",
+                        lambda cfg: 0.3584)
+    dest = tmp_path / "reg.json"
+    assert main(["calibrate", "--ct-nmax", "300", "--write", str(dest)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    reg = ConstantsRegistry.load(dest)
+    assert doc["registry_hash"] == reg.content_hash()
+    assert reg.value("c_t") == enumerate_c_t(300)
+    assert reg.value("m_star_star") == 0.3584
+    assert reg.value("c_l") == ((0.3584 + 1.0) / (2.0 * 0.3584) * reg.value(
+        "c_l_prime") / reg.value("c_t"))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from impuritybound import lambda_functional
 from impuritybound.errors import AccuracyError, DomainError, PreconditionError
@@ -208,17 +209,19 @@ HYBRID_VALUE = 0.16380698821107123
 def test_lattice_sum_and_hybrid_agree():
     args = LambdaArgs(**LATTICE_ARGS)
     direct = lattice_lambda_sum(args, cutoff=900.0)
+    tail = _envelope_tail(args, 900.0)
     hybrid = _hybrid_lattice_sum(args, tol=1e-5)
     assert hybrid == pytest.approx(HYBRID_VALUE, rel=1e-6)
     # direct truncation explains the entire discrepancy
-    assert abs(float(hybrid) - float(direct)) <= direct.tail_bound + 1e-4
+    assert abs(float(hybrid) - float(direct)) <= tail + 1e-4
     assert direct.n_points > 0
-    assert direct.tail_bound >= 0.0
+    assert tail >= 0.0
 
 
 def _slab_loop_sum(args, cutoff):
     """Reference lattice sum: one full (x, y) slab of (n, 3) points per z
-    index, row sums for the squared lengths, kernel on the selected rows."""
+    index, row sums for the squared lengths, kernel on the selected rows.
+    Returns the sum and the point count."""
     h = 2.0 * math.pi / args.ell
     s = np.asarray(args.s_tilde)
     K = np.asarray(args.k_vec)
@@ -263,12 +266,12 @@ def _slab_loop_sum(args, cutoff):
         chunk = pref * (c1 * t2 + B) ** -0.25 / sing * np.abs(sdott) / denom
         total += float(chunk.sum())
         npts += int(sel.sum())
-    return h**3 * total, _envelope_tail(args, cutoff), npts
+    return h**3 * total, npts
 
 
 def test_lattice_sum_bit_identical_to_slab_loop():
-    """The blocked, axis-factored sum returns exactly the slab loop's value,
-    point count and tail bound, and raises the same DomainError."""
+    """The blocked, axis-factored sum returns exactly the slab loop's value
+    and point count, and raises the same DomainError."""
     rng = np.random.default_rng(20261019)
     for i in range(60):
         m = float(10.0 ** rng.uniform(math.log10(0.3), math.log10(30.0)))
@@ -298,8 +301,7 @@ def test_lattice_sum_bit_identical_to_slab_loop():
             assert str(new.value) == str(ref.value)
             continue
         res = lattice_lambda_sum(args, cutoff)
-        assert (float(res), res.tail_bound, res.n_points) == _slab_loop_sum(
-            args, cutoff)
+        assert (float(res), res.n_points) == _slab_loop_sum(args, cutoff)
 
 
 def test_lattice_sum_is_kernel_sum():
@@ -352,7 +354,59 @@ def test_lattice_sum_monotone_in_cutoff():
     small = lattice_lambda_sum(args, cutoff=400.0)
     large = lattice_lambda_sum(args, cutoff=900.0)
     assert float(large) >= float(small)
-    assert large.tail_bound <= small.tail_bound
+    assert _envelope_tail(args, 900.0) <= _envelope_tail(args, 400.0)
+
+
+def _own_setup_envelope_tail(args, radius):
+    """_envelope_tail with its own set-up of A*K, delta/ell^2 and
+    |s - AK|^2, before it read them from LambdaSetup; kept as its oracle."""
+    m, Q = args.m, args.q_mu
+    s = np.asarray(args.s_tilde)
+    ak = args.a_const * np.asarray(args.k_vec)
+    s2 = float((s - ak) @ (s - ak))
+    dreg = args.delta / args.ell**2
+    q2 = 2.0 * Q * Q
+    if s2 + q2 <= 0:
+        return 0.0
+    c5 = ((m + 1.0) / m) ** 1.5 * (m * m + 4.0 * m + 2.0) / (
+        2.0 * math.pi**2 * m * (m + 2.0) ** 2)
+    c0 = c5 * (s2 + q2 + args.n * dreg) * (s2 + q2) ** -0.25
+
+    def env(r):
+        return c0 / ((r * r + dreg) * (r * r + q2) ** 0.25 * (s2 + r * r + q2))
+
+    h = 2.0 * math.pi / args.ell
+    r0 = max(radius - math.sqrt(3.0) * h / 2.0, 0.5 * h)
+    val, _ = scipy.integrate.quad(lambda r: 4.0 * math.pi * r * r * env(r),
+                                  r0, np.inf, limit=200)
+    return float(val)
+
+
+def test_envelope_tail_bit_identical_to_own_setup():
+    rng = np.random.default_rng(20261024)
+    for i in range(40):
+        m = float(10.0 ** rng.uniform(math.log10(0.3), math.log10(30.0)))
+        mag = float(10.0 ** rng.uniform(-1.0, 3.0))
+        s, k = rng.standard_normal((2, 3)) * mag
+        ell = float(rng.choice([0.5, 1.0, 1.7]))
+        args = LambdaArgs(s_tilde=s, k_vec=k, q_mu=mag * (i % 3) / 2.0, m=m,
+                          delta=float(rng.uniform(0.0, 3.0)),
+                          n=int(rng.integers(1, 200)), ell=ell)
+        radius = float(rng.uniform(0.5, 40.0)) * 2.0 * math.pi / ell
+        assert _envelope_tail(args, radius).hex() == _own_setup_envelope_tail(
+            args, radius).hex()
+
+
+def test_lattice_sum_runs_no_quadrature(monkeypatch):
+    """The tail bound is _envelope_tail's, computed where it is read; the
+    sum itself calls nothing in scipy.integrate."""
+    class NoIntegrate:
+        def __getattr__(self, name):
+            raise AssertionError(f"lattice sum called scipy.integrate.{name}")
+
+    monkeypatch.setattr(lambda_functional, "_sci_integrate", NoIntegrate())
+    res = lattice_lambda_sum(LambdaArgs(**LATTICE_ARGS), cutoff=400.0)
+    assert float(res) > 0.0 and res.n_points > 0
 
 
 def test_lattice_sum_rejects_vanishing_quartic_factor():

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from impuritybound.errors import DomainError, PreconditionError
-from impuritybound.kernels import l_continuum
+from impuritybound import torus_forms
+from impuritybound.errors import DomainError, NumericError, PreconditionError
+from impuritybound.kernels import fhat_infinity_arr, l_continuum
 from impuritybound.params import ModelParams
 from impuritybound.torus_forms import (Mollifier, SingularAmplitude,
                                        l_periodic, l_periodic_richardson,
@@ -46,6 +47,67 @@ def test_l_periodic_matches_oracle_on_lattice_row():
     kvec = np.zeros((1, 3))
     brute = l_periodic_richardson(params, kvec, Mollifier())
     assert l_periodic(params, kvec) == pytest.approx(brute, rel=1e-5)
+
+
+def _inline_fhat(m, gamma, r):
+    """_l_periodic_impl's own inline copy of the fhat_infinity formula."""
+    return (math.sqrt(math.pi / 2.0) * (2.0 * m / (1.0 + m))
+            * np.exp(-math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * r)
+            / r)
+
+
+def _inline_fhat_l_periodic(m, mu, ell, k1, khat_sq):
+    """_l_periodic_impl with its own inline copy of the fhat_infinity
+    formula; kept as its oracle."""
+    gamma, off = torus_forms._gamma_offset(m, mu, ell, k1, khat_sq)
+    base = l_continuum(ModelParams(m=m, mu=mu, ell=ell), k1, khat_sq)
+    eta = math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * ell
+    nmax = max(1, int(math.ceil(40.0 / eta)))
+    if nmax > 400:
+        raise NumericError(
+            f"Poisson correction needs nmax={nmax} shells (gamma*ell^2 too "
+            "small for the exponential representation)")
+    rng = np.arange(-nmax, nmax + 1)
+    Z = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
+    Z = Z[(Z * Z).sum(axis=1) > 0].astype(float) * ell
+    fh = _inline_fhat(m, gamma, np.sqrt((Z * Z).sum(axis=1)))
+    corr = float((np.cos(Z @ off) * fh).sum())
+    return (base - (2.0 * math.pi) ** 1.5 * corr,
+            {"nmax": nmax, "n_terms": int(Z.shape[0])})
+
+
+def test_l_periodic_bit_identical_to_inline_fhat():
+    """Seeded cases with the decay rate eta = sqrt(2m/(m+1) gamma) ell
+    between 2 and 12, where the Poisson correction shows in the value and
+    the shell cube stays small (nmax <= 20), and the f-hat terms
+    themselves, since a last-bit change in them need not move L^per; then
+    both error paths."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for i in range(60):
+        m = float(10.0 ** rng.uniform(-1.0, 1.5))
+        ell = float(rng.choice([0.5, 0.7, 1.0, 1.7, 1.9]))
+        sp = 2.0 * math.pi / ell
+        k1 = sp * (i % 2) * rng.integers(-1, 2, size=3).astype(float)
+        khat_sq = float(sp * sp * rng.integers(0, 2)) if i % 3 == 0 else 0.0
+        gamma = (rng.uniform(2.0, 12.0) / ell) ** 2 * (m + 1.0) / (2.0 * m)
+        mu = gamma - float(k1 @ k1) / (2.0 * (1.0 + m)) - 0.5 * khat_sq
+        cases.append((m, mu, ell, k1, khat_sq))
+    zero = np.zeros(3)
+    for m, mu, ell, k1, khat_sq in cases:
+        val, meta = torus_forms._l_periodic_impl(m, mu, ell, k1, khat_sq)
+        ref = _inline_fhat_l_periodic(m, mu, ell, k1, khat_sq)
+        assert (val.hex(), meta) == (ref[0].hex(), ref[1])
+        gamma = torus_forms._gamma_offset(m, mu, ell, k1, khat_sq)[0]
+        r = ell * np.sqrt(np.arange(1.0, 2000.0))
+        assert (fhat_infinity_arr(m, gamma, r).tobytes()
+                == _inline_fhat(m, gamma, r).tobytes())
+    for exc, mu in ((DomainError, -1.0), (NumericError, 1e-6)):
+        with pytest.raises(exc) as ref:
+            _inline_fhat_l_periodic(1.0, mu, 1.0, zero, 0.0)
+        with pytest.raises(exc) as new:
+            torus_forms._l_periodic_impl(1.0, mu, 1.0, zero, 0.0)
+        assert str(new.value) == str(ref.value)
 
 
 def test_l_periodic_approaches_continuum_large_ell():
