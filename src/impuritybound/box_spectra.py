@@ -62,15 +62,12 @@ class DirichletSpectrum:
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """The lowest ``count`` eigenvalues repeated with multiplicity."""
-        out = []
-        for v, mult, _ in self.levels:
-            out.extend([v] * mult)
-            if len(out) >= count:
-                break
+        out = np.repeat([v for v, _, _ in self.levels],
+                        [mult for _, mult, _ in self.levels])
         if len(out) < count:
             raise PreconditionError(
                 f"spectrum holds {len(out)} levels, requested {count}")
-        return np.asarray(out[:count])
+        return out[:count]
 
     def count_below(self, mu: float) -> int:
         return sum(mult for v, mult, _ in self.levels if v <= mu)
@@ -94,6 +91,19 @@ def _lowest_modes(count: int, signed: bool = False):
         n2_max *= 2
 
 
+def _level(lbig: float, n2):
+    """The Dirichlet level (pi/L)^2 |n|^2 of a label with |n|^2 = ``n2``."""
+    return (math.pi / lbig) ** 2 * n2
+
+
+def _check_above_ground(mu: float, lbig: float):
+    """Check mu and L, and that mu is at or above the lowest level."""
+    check_domain("mu", mu)
+    check_domain("lbig", lbig, 0.0)
+    if mu < 3.0 * math.pi**2 / lbig**2:
+        raise PreconditionError("mu below the lowest Dirichlet level")
+
+
 def _mode_levels(lbig: float, count: int):
     """The labels and |n|^2 of ``_lowest_modes(count)`` and their levels
     (pi/L)^2 |n|^2: the first ``count`` are the lowest Dirichlet modes, and
@@ -102,7 +112,7 @@ def _mode_levels(lbig: float, count: int):
         raise PreconditionError(f"count must be >= 1, got {count}")
     check_domain("lbig", lbig, 0.0)
     labels, n2s = _lowest_modes(count)
-    return labels, n2s, (math.pi / lbig) ** 2 * n2s
+    return labels, n2s, _level(lbig, n2s)
 
 
 def dirichlet_levels(lbig: float, count: int) -> DirichletSpectrum:
@@ -136,17 +146,17 @@ def rho0(x, lbig: float, mu: float):
     x = np.asarray(x, dtype=float)
     scalar = x.shape == (3,)
     pts = x.reshape(-1, 3)
+    check_domain("lbig", lbig, 0.0)
     if np.any(pts < 0) or np.any(pts > lbig):
         raise DomainError("position outside the box [0, L]^3")
     check_domain("mu", mu, 0.0)
     n2_max = int(mu * (lbig / math.pi) ** 2)
     g = _enumerate_n2(n2_max)
     out = np.zeros(len(pts))
-    if len(g):
-        arg = math.pi / lbig * pts  # (npts, 3)
-        for chunk in np.array_split(g, max(1, len(g) // 256)):
-            s = np.sin(arg[:, None, :] * chunk[None, :, :])
-            out += (s * s).prod(axis=2).sum(axis=1)
+    arg = math.pi / lbig * pts  # (npts, 3)
+    for chunk in np.array_split(g, max(1, len(g) // 256)):
+        s = np.sin(arg[:, None, :] * chunk[None, :, :])
+        out += (s * s).prod(axis=2).sum(axis=1)
     out *= (2.0 / lbig) ** 3
     return float(out[0]) if scalar else out.reshape(x.shape[:-1])
 
@@ -155,11 +165,11 @@ def shell_count_f(e: float, mu: float, lbig: float) -> float:
     """(2/L)^3 times the number of levels with |p^2 - mu| < e (strict)."""
     check_domain("e", e, 0.0, strict=False)
     check_domain("mu", mu, 0.0)
+    check_domain("lbig", lbig, 0.0)
     if e == 0.0:
         return 0.0
-    n2_hi = (mu + e) * (lbig / math.pi) ** 2
-    g = _enumerate_n2(int(n2_hi) + 1)
-    vals = (math.pi / lbig) ** 2 * (g * g).sum(axis=1)
+    g = _enumerate_n2(int((mu + e) * (lbig / math.pi) ** 2) + 1)
+    vals = _level(lbig, (g * g).sum(axis=1))
     return (2.0 / lbig) ** 3 * int(np.count_nonzero(np.abs(vals - mu) < e))
 
 
@@ -177,11 +187,11 @@ def r_function(rho: float, mu: float, lbig: float) -> float:
     need = rho / meas
     while True:
         g = _enumerate_n2(n2_max)
-        vals = (math.pi / lbig) ** 2 * (g * g).sum(axis=1)
+        vals = _level(lbig, (g * g).sum(axis=1))
         dist = np.sort(np.abs(vals - mu))
         # distances coming from levels beyond the enumeration ball are all
         # larger than edge; the step structure is certified below `edge`
-        edge = (math.pi / lbig) ** 2 * n2_max - mu
+        edge = _level(lbig, n2_max) - mu
         if edge > 0 and np.count_nonzero(dist < edge) >= need:
             break
         n2_max *= 2
@@ -273,48 +283,40 @@ def galerkin_spectrum(v: PotentialGrid, basis_size: int) -> np.ndarray:
         raise NumericError(f"Galerkin diagonalization failed: {exc}") from exc
 
 
-def lt_gap_check(v: PotentialGrid, count: int, basis_size: int = 512):
-    """Energy-shift inequality data for a non-positive potential:
+def lt_gap_check(v: PotentialGrid, count: int, vals: np.ndarray):
+    """Energy-shift inequality data for a non-positive potential, read from
+    its Galerkin spectrum ``vals`` (ascending, from ``galerkin_spectrum``):
     gap = E^D_N - E^{V,D}_N versus the integral bound
     integral of N^{1/3}/L |V|^2 + |V|^{5/2} + N/L^3 |V|.
     Returns (gap, rhs, ratio); ratio is 0 when both sides vanish.
     """
     v.require_nonpositive()
-    if basis_size < count:
+    if len(vals) < count:
         raise PreconditionError(
-            f"basis_size {basis_size} smaller than requested count {count}")
-    e_free = sum_lowest(v.lbig, count)[0]
-    vals = galerkin_spectrum(v, basis_size)
-    e_pot = float(np.sort(vals)[:count].sum())
-    gap = e_free - e_pot
+            f"basis_size {len(vals)} smaller than requested count {count}")
+    gap = sum_lowest(v.lbig, count)[0] - float(vals[:count].sum())
     rhs = (count ** (1.0 / 3.0) / v.lbig * v.integral(2.0)
            + v.integral(2.5) + count / v.lbig**3 * v.integral(1.0))
     ratio = 0.0 if rhs == 0.0 else gap / rhs
     return gap, rhs, ratio
 
 
-def thm_a3_check(v: PotentialGrid, mu: float, basis_size: int = 512):
-    """Data for the potential-version trace inequality: returns
-    (lhs, rhs_integral) where
+def thm_a3_check(v: PotentialGrid, mu: float, vals: np.ndarray):
+    """Data for the potential-version trace inequality, read from the
+    Galerkin spectrum ``vals`` of -Delta + V (from ``galerkin_spectrum``)
+    and the free levels of its sine basis: returns (lhs, rhs_integral) where
     lhs = -tr(-Delta+V-mu)_- + tr(-Delta-mu)_- - integral of rho0 V
     rhs_integral = integral of mu^{1/2}|V|^2 + |V|^{5/2} + mu/L |V|.
     The inequality asserts lhs >= -K rhs_integral for a universal K, and
     lhs <= 0.
     """
-    check_domain("mu", mu)
-    if mu < 3.0 * math.pi**2 / v.lbig**2:
-        raise PreconditionError(
-            "mu below the lowest Dirichlet level: the standard inequality "
-            "applies in that regime instead")
-    vals_v = galerkin_spectrum(v, basis_size)
-    tr_v = float(np.minimum(vals_v - mu, 0.0).sum())
-    free = _mode_levels(v.lbig, basis_size)[2][:basis_size]
+    _check_above_ground(mu, v.lbig)
+    tr_v = float(np.minimum(vals - mu, 0.0).sum())
+    free = _mode_levels(v.lbig, len(vals))[2][:len(vals)]
     tr_0 = float(np.minimum(free - mu, 0.0).sum())
-    ng = v.n_grid
-    ax = (np.arange(ng) + 0.5) * v.h
+    ax = (np.arange(v.n_grid) + 0.5) * v.h
     xs = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1)
-    dens = rho0(xs, v.lbig, mu)
-    rho_v = float((dens * v.values).sum()) * v.h**3
+    rho_v = float((rho0(xs, v.lbig, mu) * v.values).sum()) * v.h**3
     lhs = tr_v - tr_0 - rho_v
     rhs = (math.sqrt(mu) * v.integral(2.0) + v.integral(2.5)
            + mu / v.lbig * v.integral(1.0))
@@ -335,6 +337,8 @@ class FiniteRankPerturbation:
     matrix: np.ndarray
 
     def __post_init__(self):
+        check_domain("lbig", self.lbig, 0.0)
+        check_domain("mu", self.mu)
         q = np.asarray(self.matrix, dtype=float)
         nb = len(self.labels)
         if q.shape != (nb, nb):
@@ -344,17 +348,15 @@ class FiniteRankPerturbation:
         object.__setattr__(self, "matrix", q)
         object.__setattr__(self, "labels",
                            tuple(tuple(int(c) for c in t) for t in self.labels))
-        evs = np.linalg.eigvalsh(q + np.diag(self.pi_minus()))
+        pi_m = (self.level_values() <= self.mu).astype(float)
+        evs = np.linalg.eigvalsh(q + np.diag(pi_m))
         if evs.min() < -1e-10 or evs.max() > 1.0 + 1e-10:
             raise PreconditionError(
                 "admissibility violated: spectrum of Q + P not within [0, 1]")
 
     def level_values(self) -> np.ndarray:
         lab = np.asarray(self.labels)
-        return (math.pi / self.lbig) ** 2 * (lab * lab).sum(axis=1)
-
-    def pi_minus(self) -> np.ndarray:
-        return (self.level_values() <= self.mu).astype(float)
+        return _level(self.lbig, (lab * lab).sum(axis=1))
 
 
 def thm_a1_check(q: FiniteRankPerturbation, eta: float = 1.0):
@@ -364,10 +366,9 @@ def thm_a1_check(q: FiniteRankPerturbation, eta: float = 1.0):
     of S((|rho_Q| - eta mu/L)_+) on a 48^3 cell-centered grid, and
     lemma_lhs = tr(|-Delta-mu| Q^2) which must not exceed lhs.
     """
-    if q.mu < 3.0 * math.pi**2 / q.lbig**2:
-        raise PreconditionError("mu below the lowest Dirichlet level")
-    vals = q.level_values()
-    shifted = vals - q.mu
+    _check_above_ground(q.mu, q.lbig)
+    check_domain("eta", eta, 0.0, strict=False)
+    shifted = q.level_values() - q.mu
     lhs = float((shifted * np.diag(q.matrix)).sum())
     q2 = q.matrix @ q.matrix
     lemma_lhs = float((np.abs(shifted) * np.diag(q2)).sum())
@@ -378,39 +379,30 @@ def thm_a1_check(q: FiniteRankPerturbation, eta: float = 1.0):
     # sine mode values on the 1D axis for each label component
     phi = [np.sin(math.pi / q.lbig * np.outer(lab[:, d], ax)) for d in range(3)]
     # psi_b(x) over the grid, built separably per basis function
-    nb = len(q.labels)
-    basis_vals = np.empty((nb, n_grid, n_grid, n_grid))
-    for b in range(nb):
-        basis_vals[b] = (phi[0][b][:, None, None] * phi[1][b][None, :, None]
-                         * phi[2][b][None, None, :])
+    basis_vals = (phi[0][:, :, None, None] * phi[1][:, None, :, None]
+                  * phi[2][:, None, None, :])
     basis_vals *= (2.0 / q.lbig) ** 1.5
-    flat = basis_vals.reshape(nb, -1)
+    flat = basis_vals.reshape(len(q.labels), -1)
     dens = np.einsum("bx,bc,cx->x", flat, q.matrix, flat, optimize=True)
     dens = dens.reshape(n_grid, n_grid, n_grid)
     arg = np.maximum(np.abs(dens) - eta * q.mu / q.lbig, 0.0)
     integ = float(s_function_arr(arg, q.mu).sum()) * (q.lbig / n_grid) ** 3
-    return {"lhs": lhs, "rhs_integral": integ,
-            "lemma_lhs": lemma_lhs}
+    return {"lhs": lhs, "rhs_integral": integ, "lemma_lhs": lemma_lhs}
 
 
 def phi_sum(k, mu: float, lbig: float) -> float:
     """Exact lattice sum over q in (pi Z/L)^3 with q^2 < mu - sqrt(mu)/L
     and (q-k)^2 > mu + sqrt(mu)/L of the inverse square-root product."""
-    if mu < 3.0 * math.pi**2 / lbig**2:
-        raise PreconditionError("mu below the lowest Dirichlet level")
+    _check_above_ground(mu, lbig)
     k = np.asarray(k, dtype=float)
     lo = mu - math.sqrt(mu) / lbig
     hi = mu + math.sqrt(mu) / lbig
-    if lo <= 0:
-        return 0.0
     # the ball holds every q with q^2 < lo, whatever the rounding of q^2
     g = _enumerate_n2(int(lo * (lbig / math.pi) ** 2) + 1, signed=True)
     qs = (math.pi / lbig) * g
     q2 = (qs * qs).sum(axis=1)
     d2 = ((qs - k) ** 2).sum(axis=1)
     sel = (q2 < lo) & (d2 > hi)
-    if not sel.any():
-        return 0.0
     terms = 1.0 / (np.sqrt(mu - q2[sel]) * np.sqrt(d2[sel] - mu))
     return float(terms.sum()) / lbig**3
 

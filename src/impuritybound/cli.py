@@ -172,13 +172,14 @@ def cmd_bound(args):
 
 
 def _ltcheck_one(task):
-    from .box_spectra import (lt_gap_check, random_admissible_q,
-                              random_smooth_potential, thm_a1_check,
-                              thm_a3_check)
+    from .box_spectra import (galerkin_spectrum, lt_gap_check,
+                              random_admissible_q, random_smooth_potential,
+                              thm_a1_check, thm_a3_check)
     seed, n, mu, lbig, depth, grid, basis = task
     v = random_smooth_potential(lbig, seed=seed, depth=depth, n_grid=grid)
-    gap, rhs, ratio = lt_gap_check(v, n, basis_size=basis)
-    a3_lhs, a3_rhs = thm_a3_check(v, mu, basis_size=basis)
+    vals = galerkin_spectrum(v, basis)
+    gap, rhs, ratio = lt_gap_check(v, n, vals)
+    a3_lhs, a3_rhs = thm_a3_check(v, mu, vals)
     q = random_admissible_q(lbig, mu, seed=seed)
     a1 = thm_a1_check(q)
     return {
@@ -191,8 +192,11 @@ def _ltcheck_one(task):
 
 
 def cmd_ltcheck(args):
-    if args.count < 1:
-        raise PreconditionError(f"count must be >= 1, got {args.count}")
+    # the integer flags, checked before any task runs
+    for flag, low in (("count", 1), ("jobs", 1), ("n", 1), ("basis", args.n)):
+        if getattr(args, flag) < low:
+            raise PreconditionError(
+                f"--{flag} must be >= {low}, got {getattr(args, flag)}")
     check_domain("seed", args.seed, 0.0, strict=False)
     tasks = [(args.seed + i, args.n, args.mu, args.lbig, args.depth,
               args.grid, args.basis) for i in range(args.count)]

@@ -200,7 +200,7 @@ def test_criterion_08_appendix_suite():
     shift_rows = []
     for seed in range(10):
         v = bs.random_smooth_potential(2.0, seed=seed, depth=1.0, n_grid=48)
-        lhs, rhs = bs.thm_a3_check(v, 12.0, basis_size=256)
+        lhs, rhs = bs.thm_a3_check(v, 12.0, bs.galerkin_spectrum(v, 256))
         assert lhs <= 1e-8
         assert rhs > 0.0
         shift_rows.append((lhs, rhs))
@@ -216,7 +216,7 @@ def test_criterion_08_appendix_suite():
         v = bs.random_smooth_potential(
             2.0, seed=seed, depth=float(rng.uniform(0.5, 3.0)), n_grid=48)
         n = int(rng.integers(2, 51))
-        gap, rhs, ratio = bs.lt_gap_check(v, n, basis_size=512)
+        gap, rhs, ratio = bs.lt_gap_check(v, n, bs.galerkin_spectrum(v, 512))
         assert gap >= 0.0
         assert rhs > 0.0
         ratios.append(ratio)

@@ -5,6 +5,7 @@ import pytest
 
 from impuritybound import box_spectra as bs
 from impuritybound.errors import DomainError, PreconditionError
+from impuritybound.params import check_domain
 
 
 def test_degeneracy_pattern_at_l_pi():
@@ -81,6 +82,35 @@ def test_r_function_rejects_bad_inputs(mu, lbig, name):
         bs.r_function(0.5, mu, lbig)
 
 
+_ONE_MODE = {"labels": ((1, 1, 1),), "matrix": np.zeros((1, 1))}
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: bs.phi_sum([1.0, 0.0, 0.0], math.nan, 2.0), "mu"),
+    (lambda: bs.phi_sum([1.0, 0.0, 0.0], 12.0, math.nan), "lbig"),
+    (lambda: bs.phi_sum([1.0, 0.0, 0.0], 12.0, math.inf), "lbig"),
+    (lambda: bs.shell_count_f(0.5, 6.0, math.nan), "lbig"),
+    (lambda: bs.shell_count_f(0.5, 6.0, math.inf), "lbig"),
+    (lambda: bs.shell_count_f(0.5, 6.0, -1.0), "lbig"),
+    (lambda: bs.rho0([0.5, 0.5, 0.5], math.nan, 12.0), "lbig"),
+    (lambda: bs.rho0([0.5, 0.5, 0.5], math.inf, 12.0), "lbig"),
+    (lambda: bs.FiniteRankPerturbation(lbig=math.nan, mu=12.0, **_ONE_MODE),
+     "lbig"),
+    (lambda: bs.FiniteRankPerturbation(lbig=2.0, mu=math.nan, **_ONE_MODE),
+     "mu"),
+    (lambda: bs.thm_a1_check(bs.random_admissible_q(2.0, 12.0, 1),
+                             eta=math.nan), "eta"),
+    (lambda: bs.thm_a1_check(bs.random_admissible_q(2.0, 12.0, 1),
+                             eta=-1.0), "eta"),
+], ids=["phi-mu-nan", "phi-lbig-nan", "phi-lbig-inf", "shell-lbig-nan",
+        "shell-lbig-inf", "shell-lbig-negative", "rho0-lbig-nan",
+        "rho0-lbig-inf", "frp-lbig-nan", "frp-mu-nan", "a1-eta-nan",
+        "a1-eta-negative"])
+def test_box_inputs_reject_bad_values(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
 def test_galerkin_exact_at_zero_potential():
     v0 = bs.PotentialGrid(lbig=2.0, values=np.zeros((48, 48, 48)))
     vals = np.sort(bs.galerkin_spectrum(v0, 40))
@@ -123,7 +153,7 @@ def test_potential_grid_validation():
 
 def test_lt_gap_positive_for_negative_potential():
     v = bs.random_smooth_potential(2.0, seed=4, depth=2.0, n_grid=48)
-    gap, rhs, ratio = bs.lt_gap_check(v, 8, basis_size=256)
+    gap, rhs, ratio = bs.lt_gap_check(v, 8, bs.galerkin_spectrum(v, 256))
     assert gap >= 0.0
     assert rhs > 0.0
     assert ratio == gap / rhs
@@ -159,7 +189,7 @@ def test_phi_sum_scaling():
 
 def test_shift_inequality_sign():
     v = bs.random_smooth_potential(2.0, seed=7, depth=1.0, n_grid=48)
-    lhs, rhs = bs.thm_a3_check(v, 12.0, basis_size=256)
+    lhs, rhs = bs.thm_a3_check(v, 12.0, bs.galerkin_spectrum(v, 256))
     assert lhs <= 1e-8
     assert rhs > 0.0
 
@@ -300,8 +330,62 @@ def test_galerkin_and_thm_a3_bit_identical_to_label_path():
             continue
         assert _hexes(bs.galerkin_spectrum(v, basis)) == _hexes(ref)
         mu = 3.0 * math.pi**2 / lbig**2 * float(rng.uniform(1.0, 3.0))
-        assert _hexes(bs.thm_a3_check(v, mu, basis)) == _hexes(
+        assert _hexes(bs.thm_a3_check(
+            v, mu, bs.galerkin_spectrum(v, basis))) == _hexes(
             _label_thm_a3(v, mu, basis))
+
+
+def _own_solve_lt_gap(v, count, basis_size):
+    """lt_gap_check as it ran its own Galerkin solve; kept as its oracle."""
+    v.require_nonpositive()
+    if basis_size < count:
+        raise PreconditionError(
+            f"basis_size {basis_size} smaller than requested count {count}")
+    e_free = bs.sum_lowest(v.lbig, count)[0]
+    vals = bs.galerkin_spectrum(v, basis_size)
+    e_pot = float(np.sort(vals)[:count].sum())
+    gap = e_free - e_pot
+    rhs = (count ** (1.0 / 3.0) / v.lbig * v.integral(2.0)
+           + v.integral(2.5) + count / v.lbig**3 * v.integral(1.0))
+    ratio = 0.0 if rhs == 0.0 else gap / rhs
+    return gap, rhs, ratio
+
+
+def _own_solve_thm_a3(v, mu, basis_size):
+    """thm_a3_check as it ran its own Galerkin solve; kept as its oracle."""
+    check_domain("mu", mu)
+    if mu < 3.0 * math.pi**2 / v.lbig**2:
+        raise PreconditionError(
+            "mu below the lowest Dirichlet level: the standard inequality "
+            "applies in that regime instead")
+    vals_v = bs.galerkin_spectrum(v, basis_size)
+    tr_v = float(np.minimum(vals_v - mu, 0.0).sum())
+    free = bs._mode_levels(v.lbig, basis_size)[2][:basis_size]
+    tr_0 = float(np.minimum(free - mu, 0.0).sum())
+    ng = v.n_grid
+    ax = (np.arange(ng) + 0.5) * v.h
+    xs = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1)
+    rho_v = float((bs.rho0(xs, v.lbig, mu) * v.values).sum()) * v.h**3
+    lhs = tr_v - tr_0 - rho_v
+    rhs = (math.sqrt(mu) * v.integral(2.0) + v.integral(2.5)
+           + mu / v.lbig * v.integral(1.0))
+    return lhs, rhs
+
+
+def test_checks_on_one_spectrum_bit_identical_to_own_solves():
+    rng = np.random.default_rng(20261023)
+    for basis in (64, 100, 200, 256, 384, 512):
+        lbig = float(rng.choice([1.5, 2.0, 3.0]))
+        v = bs.random_smooth_potential(lbig, seed=int(rng.integers(1000)),
+                                       depth=float(rng.uniform(0.5, 3.0)),
+                                       n_grid=48)
+        count = int(rng.integers(1, 65))
+        mu = 3.0 * math.pi**2 / lbig**2 * float(rng.uniform(1.0, 4.0))
+        vals = bs.galerkin_spectrum(v, basis)
+        assert _hexes(bs.lt_gap_check(v, count, vals)) == _hexes(
+            _own_solve_lt_gap(v, count, basis)), basis
+        assert _hexes(bs.thm_a3_check(v, mu, vals)) == _hexes(
+            _own_solve_thm_a3(v, mu, basis)), basis
 
 
 def _label_admissible_q(lbig, mu, seed):

@@ -107,6 +107,30 @@ def test_ltcheck_runs_small(capsys, tmp_path):
     assert len(doc["results"]) == 2
 
 
+def test_ltcheck_solves_each_potential_once(monkeypatch, capsys):
+    from impuritybound import box_spectra
+    calls = []
+    solve = box_spectra.galerkin_spectrum
+
+    def counting(v, basis_size):
+        calls.append(basis_size)
+        return solve(v, basis_size)
+
+    monkeypatch.setattr(box_spectra, "galerkin_spectrum", counting)
+    assert main(["ltcheck", "--count", "2", "--n", "4", "--basis", "64",
+                 "--grid", "32"]) == 0
+    assert calls == [64, 64]
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--jobs", "0"], "--jobs"), (["--n", "0"], "--n"),
+    (["--n", "10", "--basis", "8"], "--basis")])
+def test_ltcheck_integer_flag_errors_name_the_flag(capsys, flags, flag):
+    assert main(["ltcheck", "--count", "1"] + flags) == 3
+    assert capsys.readouterr().err.startswith(
+        f"precondition violated: {flag} must be >= ")
+
+
 def test_config_values_take_flag_types(capsys, tmp_path, registry):
     # defaults of None used to leave config values as strings
     cfg = tmp_path / "run.cfg"
@@ -197,10 +221,17 @@ BOUND = ["--n", "1000", "--alpha", "-1", "--lambda-val", "0.3409"]
     (["bound", "--kind", "main", "--m", "1", "--n", "64", "--lbig", "inf",
       "--alpha", "-1", "--lambda-val", "0.3409", "--const", "2"], 2),
     (["lambda", "--m", "inf"], 2),
+    (["ltcheck", "--count", "1", "--jobs", "0"], 3),
+    (["ltcheck", "--count", "1", "--jobs", "-1"], 3),
+    (["ltcheck", "--count", "1", "--n", "0"], 3),
+    (["ltcheck", "--count", "1", "--n", "-2", "--basis", "8"], 3),
+    (["ltcheck", "--count", "1", "--n", "10", "--basis", "8"], 3),
 ], ids=["ell-zero", "m-zero", "m-negative", "ell-negative", "lbig-zero",
         "unconfined-negative-lambda", "ltcheck-count-zero",
         "ltcheck-negative-seed", "registry-missing", "m-inf", "ell-inf",
-        "lbig-inf", "lambda-m-inf"])
+        "lbig-inf", "lambda-m-inf", "ltcheck-jobs-zero",
+        "ltcheck-jobs-negative", "ltcheck-n-zero", "ltcheck-n-negative",
+        "ltcheck-basis-below-n"])
 def test_bad_inputs_exit_with_documented_code(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
