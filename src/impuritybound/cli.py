@@ -144,8 +144,10 @@ def cmd_bound(args):
         if args.kappa is not None:
             check_kappa(args.kappa, reg.value("c_t"))
     elif args.kind == "main":
+        from .box_spectra import check_mode_count
         check_domain("lbig", args.lbig, 0.0)
         check_fitted_const(args.const)
+        check_mode_count(args.n)
     lam = args.lambda_val
     if lam is None and args.kind != "unconfined":
         from .lambda_functional import lambda_of_m

@@ -1,9 +1,10 @@
 """Pointwise mathematical kernels shared by all other modules.
 
-All functions are pure and accept plain floats / 3-vectors. The lambda
-kernel's point formula (:meth:`LambdaSetup.value`) also takes arrays; the
-lattice sum of :mod:`impuritybound.lambda_functional` evaluates it on
-blocks of lattice points and :func:`lambda_kernel` on one point.
+All functions are pure and accept plain floats / 3-vectors; ``s_function``,
+``fhat_infinity`` and the lambda kernel's point formula
+(:meth:`LambdaSetup.value`) also take arrays. The lattice sum of
+:mod:`impuritybound.lambda_functional` evaluates the latter on blocks of
+lattice points and :func:`lambda_kernel` on one point.
 """
 
 from __future__ import annotations
@@ -33,17 +34,29 @@ def green_g(params: ModelParams, k0, kvec) -> float:
     return 1.0 / denom
 
 
-def l_continuum(params: ModelParams, k1, khat_sq: float) -> float:
-    """Continuum diagonal kernel L(k) = 2 pi^2 (2m/(m+1))^{3/2} sqrt(gamma)
-    with gamma = k1^2/(2(m+1)) + khat_sq/2 + mu."""
-    k1 = as_momentum(k1)
-    check_domain("khat_sq", khat_sq, 0.0, strict=False)
-    m = params.m
-    gamma = (k1 @ k1) / (2.0 * (m + 1.0)) + 0.5 * khat_sq + params.mu
+def pair_gamma(m: float, k1_sq: float, khat_sq: float, mu: float) -> float:
+    """The radicand gamma = |k1|^2/(2(1+m)) + khat_sq/2 + mu of the
+    continuum pair kernel, which must be positive."""
+    gamma = k1_sq / (2.0 * (1.0 + m)) + 0.5 * khat_sq + mu
     if gamma <= 0:
         raise DomainError(
-            f"radicand {gamma} is non-positive (mu={params.mu} too negative)")
-    return 2.0 * np.pi**2 * (2.0 * m / (m + 1.0)) ** 1.5 * np.sqrt(gamma)
+            f"radicand {gamma} is non-positive: mu={mu} is below the allowed "
+            "range for this momentum tuple")
+    return gamma
+
+
+def l_of_gamma(m: float, gamma: float) -> float:
+    """The continuum diagonal kernel 2 pi^2 (2m/(m+1))^{3/2} sqrt(gamma)."""
+    return 2.0 * math.pi**2 * (2.0 * m / (m + 1.0)) ** 1.5 * math.sqrt(gamma)
+
+
+def l_continuum(params: ModelParams, k1, khat_sq: float) -> float:
+    """Continuum diagonal kernel L(k) = l_of_gamma(m, gamma) with
+    gamma = k1^2/(2(m+1)) + khat_sq/2 + mu."""
+    k1 = as_momentum(k1)
+    check_domain("khat_sq", khat_sq, 0.0, strict=False)
+    return l_of_gamma(params.m, pair_gamma(params.m, float(k1 @ k1), khat_sq,
+                                           params.mu))
 
 
 def lambda_coefficients(m: float):
@@ -114,39 +127,36 @@ def lambda_kernel(args: LambdaArgs, t_tilde) -> float:
     return float(setup.value(t @ t, setup.s @ t, sing))
 
 
-def s_function(rho: float, mu: float) -> float:
-    """S(rho) = (mu^{3/2} + rho)^{5/3} - mu^{5/2} - (5/3) mu rho.
+def s_function(rho, mu: float):
+    """S(rho) = (mu^{3/2} + rho)^{5/3} - mu^{5/2} - (5/3) mu rho, on a
+    number or an array of them (finite and non-negative).
 
     Non-negative and convex; behaves like (5/9) mu^{-1/2} rho^2 for small
     rho and like rho^{5/3} for large rho.
     """
-    check_domain("rho", rho, 0.0, strict=False)
-    return float(s_function_arr(rho, mu))
-
-
-def s_function_arr(rho, mu: float):
-    """Vectorized S(rho) for non-negative array input."""
     rho = np.asarray(rho, dtype=float)
+    for v in (rho.min(initial=0.0), rho.max(initial=0.0)):
+        check_domain("rho", v, 0.0, strict=False)
     check_domain("mu", mu, 0.0)
-    if np.any(rho < 0):
-        raise DomainError("rho must be non-negative")
-    return np.maximum((mu**1.5 + rho) ** (5.0 / 3.0) - mu**2.5 - (5.0 / 3.0) * mu * rho, 0.0)
+    val = np.maximum((mu**1.5 + rho) ** (5.0 / 3.0) - mu**2.5
+                     - (5.0 / 3.0) * mu * rho, 0.0)
+    return val if val.ndim else float(val)
 
 
-def fhat_infinity(m: float, gamma: float, z) -> float:
-    """Fourier transform of t -> 1/((1+m)/(2m) t^2 + gamma) at position z:
-    sqrt(pi/2) (2m/(1+m)) exp(-sqrt(2m/(m+1)) sqrt(gamma) |z|)/|z|."""
+def fhat_decay(m: float, gamma: float) -> float:
+    """sqrt(2m/(m+1)) sqrt(gamma), the decay rate of fhat_infinity in r."""
+    return math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma)
+
+
+def fhat_infinity(m: float, gamma: float, r):
+    """Fourier transform of t -> 1/((1+m)/(2m) t^2 + gamma) at a distance
+    |z| = r > 0, or at an array of them:
+    sqrt(pi/2) (2m/(1+m)) exp(-fhat_decay(m, gamma) r)/r."""
     check_domain("gamma", gamma, 0.0)
-    z = np.asarray(z, dtype=float)
-    r = float(np.sqrt((z**2).sum())) if z.shape == (3,) else float(abs(z))
-    if r <= 0:
-        raise DomainError("z must be nonzero")
-    return fhat_infinity_arr(m, gamma, r)
-
-
-def fhat_infinity_arr(m: float, gamma: float, r):
-    """Vectorized fhat_infinity at distances |z| = r > 0, unchecked."""
-    eta = np.sqrt(2.0 * m / (m + 1.0)) * np.sqrt(gamma)
+    r = np.asarray(r, dtype=float)
+    # the least distance, read without an array-sized temporary
+    if r.size and not r.min() > 0:
+        raise DomainError(f"distances must be positive, got {r.min()}")
     pref = np.sqrt(np.pi / 2.0) * (2.0 * m / (1.0 + m))
     # the exponential's array first, so that numpy reuses it in place
-    return np.exp(-eta * r) * pref / r
+    return np.exp(-fhat_decay(m, gamma) * r) * pref / r

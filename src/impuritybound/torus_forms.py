@@ -22,8 +22,9 @@ import numpy as np
 
 from ._lazy import lazy_import
 from .errors import DomainError, NumericError, PreconditionError
-from .kernels import fhat_infinity_arr, l_continuum
-from .params import ModelParams, check_domain
+from .kernels import (fhat_decay, fhat_infinity, l_continuum, l_of_gamma,
+                      pair_gamma)
+from .params import ModelParams, as_momentum, check_domain
 
 _sci_integrate = lazy_import("scipy.integrate")
 
@@ -137,13 +138,9 @@ class TorusFormBreakdown:
 # periodic diagonal kernel
 
 def _gamma_offset(m, mu, ell, k1, khat_sq):
-    """Positive radicand gamma = k1^2/(2(1+m)) + khat_sq/2 + mu, and the
-    lattice shift m k1/(m+1) folded into the central cell of (2 pi/ell) Z^3."""
-    gamma = float(k1 @ k1) / (2.0 * (1.0 + m)) + 0.5 * khat_sq + mu
-    if gamma <= 0:
-        raise DomainError(
-            f"radicand {gamma} is non-positive: mu={mu} is below the allowed "
-            "range for this momentum tuple")
+    """The radicand gamma of ``kernels.pair_gamma``, and the lattice shift
+    m k1/(m+1) folded into the central cell of (2 pi/ell) Z^3."""
+    gamma = pair_gamma(m, float(k1 @ k1), khat_sq, mu)
     spacing = 2.0 * math.pi / ell
     off = m * k1 / (m + 1.0)
     return gamma, off - np.round(off / spacing) * spacing
@@ -153,8 +150,7 @@ def _l_periodic_impl(m, mu, ell, k1, khat_sq):
     # the t-sum runs over the shifted lattice L + m k1/(m+1); in position
     # space the shift becomes a phase cos(offset . z) on the dual sum
     gamma, off = _gamma_offset(m, mu, ell, k1, khat_sq)
-    base = l_continuum(ModelParams(m=m, mu=mu, ell=ell), k1, khat_sq)
-    eta = math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * ell
+    eta = fhat_decay(m, gamma) * ell
     # truncate when the geometric tail of e^{-eta |n|}/|n| is below 1e-14
     # of the leading shell, i.e. at nmax ~ 40/eta
     nmax = max(1, int(math.ceil(40.0 / eta)))
@@ -165,9 +161,9 @@ def _l_periodic_impl(m, mu, ell, k1, khat_sq):
     rng = np.arange(-nmax, nmax + 1)
     Z = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
     Z = Z[(Z * Z).sum(axis=1) > 0].astype(float) * ell
-    fh = fhat_infinity_arr(m, gamma, np.sqrt((Z * Z).sum(axis=1)))
+    fh = fhat_infinity(m, gamma, np.sqrt((Z * Z).sum(axis=1)))
     corr = float((np.cos(Z @ off) * fh).sum())
-    return (base - (2.0 * math.pi) ** 1.5 * corr,
+    return (l_of_gamma(m, gamma) - (2.0 * math.pi) ** 1.5 * corr,
             {"nmax": nmax, "n_terms": int(Z.shape[0])})
 
 
@@ -176,9 +172,8 @@ def _split_kvec(params: ModelParams, kvec):
     if ks.shape != (params.n, 3):
         raise DomainError(
             f"expected {params.n} lattice momenta of dimension 3, got shape {ks.shape}")
-    k1 = ks[0]
-    khat_sq = float((ks[1:] ** 2).sum())
-    return k1, khat_sq
+    return as_momentum(ks[0]), check_domain(
+        "khat_sq", (ks[1:] ** 2).sum(), 0.0, strict=False)
 
 
 def l_periodic(params: ModelParams, kvec) -> float:
@@ -256,44 +251,46 @@ def l_periodic_bruteforce(params: ModelParams, kvec, tau: Mollifier,
     rr = np.linspace(0.0, pmax, 400001)
     integ = 4.0 * math.pi * np.trapezoid(
         tau.hat(rr / r_cut) * rr**2 / (a * rr**2 + gamma), rr)
-    base = l_continuum(ModelParams(m=m, mu=mu, ell=ell), k1, khat_sq)
-    return base - (spacing**3 * tot - integ)
+    return l_of_gamma(m, gamma) - (spacing**3 * tot - integ)
 
 
-def l_periodic_richardson(params: ModelParams, kvec, tau: Mollifier,
-                          r_lo: float = 14.0, r_hi: float = 20.0) -> float:
-    """Brute-force mollified oracle with the leading 1/R^2 cutoff error
-    eliminated by two-point Richardson extrapolation; relative accuracy
-    around 1e-6 at the default cutoffs for order-one parameters."""
-    if not 0 < r_lo < r_hi:
-        raise PreconditionError(
-            f"need 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
-    v_lo = l_periodic_bruteforce(params, kvec, tau, r_cut=r_lo)
-    v_hi = l_periodic_bruteforce(params, kvec, tau, r_cut=r_hi)
-    return (v_hi * r_hi**2 - v_lo * r_lo**2) / (r_hi**2 - r_lo**2)
+def l_periodic_richardson(params: ModelParams, kvec, tau: Mollifier) -> float:
+    """Brute-force mollified oracle at the cutoffs R = 14 and 20, with the
+    leading 1/R^2 cutoff error eliminated by two-point Richardson
+    extrapolation; relative accuracy around 1e-6 for order-one
+    parameters."""
+    v_lo = l_periodic_bruteforce(params, kvec, tau, r_cut=14.0)
+    v_hi = l_periodic_bruteforce(params, kvec, tau, r_cut=20.0)
+    return (v_hi * 20.0**2 - v_lo * 14.0**2) / (20.0**2 - 14.0**2)
 
 
 # ---------------------------------------------------------------------------
 # quadratic forms
 
-def _guard_negative_mu(xi: SingularAmplitude, params: ModelParams):
+def _check_amplitude(xi: SingularAmplitude, params: ModelParams):
+    if xi.n != params.n:
+        raise PreconditionError(f"amplitude has n={xi.n}, params n={params.n}")
     if params.mu < 0 and not xi.antisymmetric:
         raise PreconditionError(
             "negative mu requires an antisymmetric amplitude (otherwise the "
             "form is not well-defined below the continuum threshold)")
 
 
-def t_dia_per(xi: SingularAmplitude, params: ModelParams) -> float:
-    """Diagonal singular form: (2 pi/ell)^{3n} sum |xi-hat|^2 L^per."""
-    if xi.n != params.n:
-        raise PreconditionError(f"amplitude has n={xi.n}, params n={params.n}")
-    _guard_negative_mu(xi, params)
-    meas = xi.spacing ** (3 * xi.n)
+def _diagonal_sum(xi: SingularAmplitude, params: ModelParams, kernel):
+    """(2 pi/ell)^{3n} sum of |xi-hat|^2 kernel(k1, khat_sq)."""
     terms = []
     for key, amp in xi.items():
-        kvec = [xi.momentum(t) for t in key]
-        terms.append(abs(amp) ** 2 * l_periodic(params, kvec))
-    return meas * math.fsum(terms)
+        k1, khat_sq = _split_kvec(params, [xi.momentum(t) for t in key])
+        terms.append(abs(amp) ** 2 * kernel(k1, khat_sq))
+    return xi.spacing ** (3 * xi.n) * math.fsum(terms)
+
+
+def t_dia_per(xi: SingularAmplitude, params: ModelParams) -> float:
+    """Diagonal singular form: (2 pi/ell)^{3n} sum |xi-hat|^2 L^per."""
+    _check_amplitude(xi, params)
+    # _l_periodic_impl is looked up at each call, where a tracer may wrap it
+    return _diagonal_sum(xi, params, lambda k1, khat_sq: _l_periodic_impl(
+        params.m, params.mu, params.ell, k1, khat_sq)[0])
 
 
 def _pair_terms(xi_i: SingularAmplitude, xi_j: SingularAmplitude,
@@ -350,9 +347,7 @@ def t_off_per_complex(xi: SingularAmplitude, params: ModelParams) -> complex:
     Computes the vector form over xi_i = (-1)^{i+1} xi and divides by n,
     giving the per-particle fermionic value.
     """
-    if xi.n != params.n:
-        raise PreconditionError(f"amplitude has n={xi.n}, params n={params.n}")
-    _guard_negative_mu(xi, params)
+    _check_amplitude(xi, params)
     n = xi.n
     if n == 1:
         return 0.0 + 0.0j
@@ -401,12 +396,8 @@ def off_bound_check(xi: SingularAmplitude, params: ModelParams,
         raise PreconditionError(
             f"mu = {params.mu} below the confinement floor {floor}")
     lhs = params.n * t_off_per(xi, params)
-    meas = xi.spacing ** (3 * xi.n)
-    terms = []
-    for key, amp in xi.items():
-        k1, khat_sq = _split_kvec(params, [xi.momentum(t) for t in key])
-        terms.append(abs(amp) ** 2 * l_continuum(params, k1, khat_sq))
-    weighted = meas * math.fsum(terms)
+    weighted = _diagonal_sum(xi, params, lambda k1, khat_sq: l_continuum(
+        params, k1, khat_sq))
     rhs = -lambda_tilde_val / (1.0 - kappa / c_t) * weighted
     return lhs, rhs
 
@@ -437,7 +428,14 @@ def t_tilde_vector(xis, params: ModelParams):
 
 def _reduced_weight(m, ksq_rel, nu):
     return math.pi**2 * (2.0 * m / (m + 1.0)) ** 1.5 / math.sqrt(
-        ksq_rel / (2.0 * (1.0 + m)) + nu)
+        pair_gamma(m, ksq_rel, 0.0, nu))
+
+
+def _radial_integral(xi, weight):
+    """Integral over r >= 0 of 4 pi r^2 |xi(r)|^2 weight(r)."""
+    return _sci_integrate.quad(
+        lambda r: 4.0 * math.pi * r * r * abs(xi(r)) ** 2 * weight(r),
+        0.0, np.inf, limit=200)[0]
 
 
 def g_norm_sq(xi, nu: float, params: ModelParams) -> float:
@@ -446,22 +444,10 @@ def g_norm_sq(xi, nu: float, params: ModelParams) -> float:
     (n = 1): a 1D radial quadrature after the impurity-momentum
     integration.
     """
-    m = params.m
     if params.n != 1:
         raise PreconditionError("continuum radial profile requires n=1")
     check_domain("nu", nu, 0.0)
-
-    def integrand(r):
-        return 4.0 * math.pi * r * r * abs(xi(r)) ** 2 * _reduced_weight(m, r * r, nu)
-
-    val, _ = _sci_integrate.quad(integrand, 0.0, np.inf, limit=200)
-    return val
-
-
-def _profile_norm_sq(xi):
-    val, _ = _sci_integrate.quad(
-        lambda r: 4.0 * math.pi * r * r * abs(xi(r)) ** 2, 0.0, np.inf, limit=200)
-    return val
+    return _radial_integral(xi, lambda r: _reduced_weight(params.m, r * r, nu))
 
 
 def rep_sing_check(xi, params: ModelParams) -> float:
@@ -469,30 +455,23 @@ def rep_sing_check(xi, params: ModelParams) -> float:
     singular form at n=1, where both sides reduce to radial quadratures.
 
     left  = (2m alpha/(m+1)) |xi|^2 + integral of |xi-hat|^2 L
-    right = (2m alpha/(m+1) + 2 pi^2 (2m/(m+1))^{3/2} sqrt(mu)) |xi|^2
+    right = (2m alpha/(m+1) + L at k = 0) |xi|^2
             - integral over nu >= mu of the resolvent-norm deficit
     """
     if params.n != 1:
         raise PreconditionError("the n=1 reduction is required here")
     check_domain("mu", params.mu, 0.0)
     m, mu, alpha = params.m, params.mu, params.alpha
-    c32 = (2.0 * m / (m + 1.0)) ** 1.5
-    norm = _profile_norm_sq(xi)
-
-    def dia_integrand(r):
-        rad = r * r / (2.0 * (1.0 + m)) + mu
-        return (4.0 * math.pi * r * r * abs(xi(r)) ** 2
-                * 2.0 * math.pi**2 * c32 * math.sqrt(rad))
-
-    t_dia, _ = _sci_integrate.quad(dia_integrand, 0.0, np.inf, limit=200)
+    norm = _radial_integral(xi, lambda r: 1.0)
+    t_dia = _radial_integral(
+        xi, lambda r: l_of_gamma(m, pair_gamma(m, r * r, 0.0, mu)))
     left = (2.0 * m / (m + 1.0)) * alpha * norm + t_dia
 
     def deficit(nu):
-        return g_norm_sq(xi, nu, params) - math.pi**2 * c32 * norm / math.sqrt(nu)
+        return g_norm_sq(xi, nu, params) - _reduced_weight(m, 0.0, nu) * norm
 
     tail, _ = _sci_integrate.quad(deficit, mu, np.inf, limit=200)
-    right = ((2.0 * m / (m + 1.0)) * alpha
-             + 2.0 * math.pi**2 * c32 * math.sqrt(mu)) * norm - tail
+    right = ((2.0 * m / (m + 1.0)) * alpha + l_of_gamma(m, mu)) * norm - tail
     return abs(left - right) / (abs(left) + abs(right))
 
 
@@ -509,10 +488,7 @@ def random_fermionic_amplitude(n: int, ell: float, seed: int,
     """
     rng = np.random.default_rng(seed)
     support = {}
-    labels = [(a, b, c)
-              for a in range(-2, 3)
-              for b in range(-2, 3)
-              for c in range(-2, 3)]
+    labels = list(itertools.product(range(-2, 3), repeat=3))
     for _ in range(n_terms):
         v0 = labels[rng.integers(len(labels))]
         comp = sorted(labels[i] for i in rng.choice(len(labels), size=n - 1,

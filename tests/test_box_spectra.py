@@ -464,3 +464,44 @@ def test_phi_sum_bit_identical_to_own_cube():
         k = [1.0, 0.5, 0.0]
         assert bs.phi_sum(k, mu, math.pi).hex() == _own_cube_phi_sum(
             k, mu, math.pi).hex()
+
+
+# L whose lowest level, as dirichlet_levels reports it, is one ulp below
+# 3 pi^2 / L^2 as that expression rounds
+GROUND_L = 3.2399999999999998
+GROUND_CALLERS = {
+    "thm_a1_check": lambda mu: bs.thm_a1_check(bs.FiniteRankPerturbation(
+        lbig=GROUND_L, mu=mu, labels=((1, 1, 1),), matrix=np.zeros((1, 1)))),
+    "thm_a3_check": lambda mu: bs.thm_a3_check(
+        bs.random_smooth_potential(GROUND_L, seed=1, n_grid=8), mu,
+        np.zeros(4)),
+    "phi_sum": lambda mu: bs.phi_sum([1.0, 0.0, 0.0], mu, GROUND_L),
+    "random_admissible_q": lambda mu: bs.random_admissible_q(GROUND_L, mu, 1),
+}
+
+
+@pytest.mark.parametrize("caller", GROUND_CALLERS)
+def test_ground_level_check_accepts_the_reported_level(caller):
+    """mu at the lowest level that dirichlet_levels reports, and at
+    3 pi^2/L^2 as that rounds, are at the ground level; one ulp below the
+    level is not."""
+    level = bs.dirichlet_levels(GROUND_L, 1).levels[0][0]
+    assert level < 3.0 * math.pi**2 / GROUND_L**2
+    for mu in (level, 3.0 * math.pi**2 / GROUND_L**2):
+        GROUND_CALLERS[caller](mu)
+    with pytest.raises(PreconditionError, match="mu below the lowest"):
+        GROUND_CALLERS[caller](float(np.nextafter(level, 0.0)))
+
+
+def test_enumeration_limit():
+    """Counts above MAX_MODES are refused before anything is enumerated,
+    with a message that names the count and the limit."""
+    over = bs.MAX_MODES + 1
+    for call in (lambda: bs.dirichlet_levels(1.0, over),
+                 lambda: bs.sum_lowest(1.0, over),
+                 lambda: bs.basis_labels(1.0, over),
+                 lambda: bs._lowest_modes(over, signed=True)):
+        with pytest.raises(PreconditionError,
+                           match=f"{over} modes requested, above the "
+                                 f"enumeration limit of {bs.MAX_MODES}"):
+            call()

@@ -226,12 +226,13 @@ BOUND = ["--n", "1000", "--alpha", "-1", "--lambda-val", "0.3409"]
     (["ltcheck", "--count", "1", "--n", "0"], 3),
     (["ltcheck", "--count", "1", "--n", "-2", "--basis", "8"], 3),
     (["ltcheck", "--count", "1", "--n", "10", "--basis", "8"], 3),
+    (["spectrum", "--count", "4000001"], 3),
 ], ids=["ell-zero", "m-zero", "m-negative", "ell-negative", "lbig-zero",
         "unconfined-negative-lambda", "ltcheck-count-zero",
         "ltcheck-negative-seed", "registry-missing", "m-inf", "ell-inf",
         "lbig-inf", "lambda-m-inf", "ltcheck-jobs-zero",
         "ltcheck-jobs-negative", "ltcheck-n-zero", "ltcheck-n-negative",
-        "ltcheck-basis-below-n"])
+        "ltcheck-basis-below-n", "spectrum-count-above-limit"])
 def test_bad_inputs_exit_with_documented_code(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -319,8 +320,10 @@ def test_nonfinite_float_flag_rejected(monkeypatch, capsys, argv):
     (["bound", "--m", "1", "--n", "-5", "--ell", "1", "--alpha", "-1"], 3),
     (["bound", "--kind", "main", "--m", "1", "--n", "0", "--lbig", "4",
       "--const", "2"], 3),
+    (["bound", "--kind", "main", "--m", "1", "--n", "4000001", "--lbig",
+      "4", "--const", "2"], 3),
 ], ids=["ell-negative", "const-negative", "kappa-above-c_t", "n-zero",
-        "n-negative", "main-n-zero"])
+        "n-negative", "main-n-zero", "main-n-above-limit"])
 def test_bound_flags_checked_before_search(monkeypatch, capsys, argv, code):
     def no_search(m, cfg):
         raise AssertionError(f"Lambda({m}) searched for a bad flag")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from impuritybound.errors import DomainError
 from impuritybound.kernels import (fhat_infinity, green_g, l_continuum,
                                    lambda_coefficients, lambda_kernel,
-                                   s_function, s_function_arr)
+                                   s_function)
 from impuritybound.params import LambdaArgs, ModelParams
 
 
@@ -104,7 +104,7 @@ def test_s_function_shape():
         (5.0 / 9.0) * mu**-0.5 * rho**2, rel=1e-3)
     # large-rho power
     assert s_function(1e6, 1.0) == pytest.approx(1e6 ** (5.0 / 3.0), rel=1e-2)
-    arr = s_function_arr(np.array([0.0, 1.0, 2.0]), 1.0)
+    arr = s_function(np.array([0.0, 1.0, 2.0]), 1.0)
     assert arr[0] == 0.0 and np.all(np.diff(arr) > 0)
 
 
@@ -118,5 +118,5 @@ def test_fhat_infinity_matches_quadrature():
     val, _ = integrate.quad(lambda k: k / (a * k * k + gamma),
                             0.0, np.inf, weight="sin", wvar=r)
     direct = val / r * (4.0 * math.pi) / (2.0 * math.pi) ** 1.5
-    assert fhat_infinity(m, gamma, [r, 0.0, 0.0]) == pytest.approx(
+    assert fhat_infinity(m, gamma, r) == pytest.approx(
         direct, rel=1e-6)

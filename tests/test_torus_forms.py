@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from impuritybound import torus_forms
+from impuritybound import box_spectra, torus_forms
 from impuritybound.errors import DomainError, NumericError, PreconditionError
-from impuritybound.kernels import fhat_infinity_arr, l_continuum
+from impuritybound.kernels import fhat_infinity, l_continuum, s_function
 from impuritybound.params import ModelParams
 from impuritybound.torus_forms import (Mollifier, SingularAmplitude,
-                                       l_periodic, l_periodic_richardson,
+                                       g_norm_sq, l_periodic,
+                                       l_periodic_richardson,
                                        off_bound_check,
                                        random_fermionic_amplitude,
                                        rep_sing_check, t_alpha_per,
@@ -56,11 +57,30 @@ def _inline_fhat(m, gamma, r):
             / r)
 
 
+def _inline_gamma(m, mu, k1, khat_sq):
+    """The radicand gamma as _gamma_offset wrote it inline."""
+    gamma = float(k1 @ k1) / (2.0 * (1.0 + m)) + 0.5 * khat_sq + mu
+    if gamma <= 0:
+        raise DomainError(
+            f"radicand {gamma} is non-positive: mu={mu} is below the allowed "
+            "range for this momentum tuple")
+    return gamma
+
+
+def _inline_l(m, gamma):
+    """L(gamma) as l_continuum wrote it inline."""
+    return 2.0 * np.pi**2 * (2.0 * m / (m + 1.0)) ** 1.5 * np.sqrt(gamma)
+
+
 def _inline_fhat_l_periodic(m, mu, ell, k1, khat_sq):
-    """_l_periodic_impl with its own inline copy of the fhat_infinity
-    formula; kept as its oracle."""
-    gamma, off = torus_forms._gamma_offset(m, mu, ell, k1, khat_sq)
-    base = l_continuum(ModelParams(m=m, mu=mu, ell=ell), k1, khat_sq)
+    """_l_periodic_impl with its own inline copies of gamma, the folded
+    lattice shift, L(gamma) and the fhat_infinity formula; kept as its
+    oracle."""
+    gamma = _inline_gamma(m, mu, k1, khat_sq)
+    spacing = 2.0 * math.pi / ell
+    off = m * k1 / (m + 1.0)
+    off = off - np.round(off / spacing) * spacing
+    base = _inline_l(m, gamma)
     eta = math.sqrt(2.0 * m / (m + 1.0)) * math.sqrt(gamma) * ell
     nmax = max(1, int(math.ceil(40.0 / eta)))
     if nmax > 400:
@@ -100,7 +120,7 @@ def test_l_periodic_bit_identical_to_inline_fhat():
         assert (val.hex(), meta) == (ref[0].hex(), ref[1])
         gamma = torus_forms._gamma_offset(m, mu, ell, k1, khat_sq)[0]
         r = ell * np.sqrt(np.arange(1.0, 2000.0))
-        assert (fhat_infinity_arr(m, gamma, r).tobytes()
+        assert (fhat_infinity(m, gamma, r).tobytes()
                 == _inline_fhat(m, gamma, r).tobytes())
     for exc, mu in ((DomainError, -1.0), (NumericError, 1e-6)):
         with pytest.raises(exc) as ref:
@@ -108,6 +128,102 @@ def test_l_periodic_bit_identical_to_inline_fhat():
         with pytest.raises(exc) as new:
             torus_forms._l_periodic_impl(1.0, mu, 1.0, zero, 0.0)
         assert str(new.value) == str(ref.value)
+
+
+def _inline_diagonal_sum(xi, kernel):
+    """(2 pi/ell)^{3n} sum |xi-hat|^2 kernel(k1, khat_sq), as t_dia_per and
+    off_bound_check each wrote it inline."""
+    meas = xi.spacing ** (3 * xi.n)
+    terms = []
+    for key, amp in xi.items():
+        ks = np.array([xi.momentum(t) for t in key])
+        terms.append(abs(amp) ** 2 * kernel(ks[0], float((ks[1:] ** 2).sum())))
+    return meas * math.fsum(terms)
+
+
+def _inline_g_norm_sq(xi, nu, m):
+    """g_norm_sq with its own inline radicand and radial integral."""
+    from scipy import integrate
+
+    def integrand(r):
+        weight = math.pi**2 * (2.0 * m / (m + 1.0)) ** 1.5 / math.sqrt(
+            r * r / (2.0 * (1.0 + m)) + nu)
+        return 4.0 * math.pi * r * r * abs(xi(r)) ** 2 * weight
+
+    return integrate.quad(integrand, 0.0, np.inf, limit=200)[0]
+
+
+def _inline_s(rho, mu):
+    """S(rho) as the array form s_function_arr wrote it."""
+    rho = np.asarray(rho, dtype=float)
+    return np.maximum((mu**1.5 + rho) ** (5.0 / 3.0) - mu**2.5
+                      - (5.0 / 3.0) * mu * rho, 0.0)
+
+
+def test_pair_kernel_forms_bit_identical_to_inline_bodies():
+    """l_periodic, _l_periodic_impl's info, t_dia_per, off_bound_check and
+    g_norm_sq read gamma, L(gamma), f-hat and the radial and diagonal sums
+    from one place each; their values equal those of the inline bodies.
+    mu is drawn so that the decay rate times ell lies in [2, 6] (nmax <=
+    20)."""
+    rng = np.random.default_rng(20261020)
+    for case in range(8):
+        n = 1 + case % 4
+        ell = float(rng.choice([0.7, 1.0, 1.3]))
+        m = float(rng.choice([0.3, 1.0, 3.0]))
+        mu = (rng.uniform(2.0, 6.0) / ell) ** 2 * (m + 1.0) / (2.0 * m)
+        params = ModelParams(m=m, mu=mu, n=n, ell=ell)
+        xi = random_fermionic_amplitude(n, ell=ell, n_terms=2,
+                                        seed=int(rng.integers(10**6)))
+
+        def l_per(k1, khat_sq):
+            return _inline_fhat_l_periodic(m, mu, ell, k1, khat_sq)[0]
+
+        for key, _ in xi.items():
+            ks = np.array([xi.momentum(t) for t in key])
+            k1, khat_sq = ks[0], float((ks[1:] ** 2).sum())
+            val, info = torus_forms._l_periodic_impl(m, mu, ell, k1, khat_sq)
+            ref = _inline_fhat_l_periodic(m, mu, ell, k1, khat_sq)
+            assert (val.hex(), info) == (ref[0].hex(), ref[1])
+            assert l_periodic(params, ks).hex() == ref[0].hex()
+        assert t_dia_per(xi, params).hex() == _inline_diagonal_sum(
+            xi, l_per).hex()
+        lhs, rhs = off_bound_check(xi, params, 0.34, 1.0, 3.1)
+        weighted = _inline_diagonal_sum(
+            xi, lambda k1, khat_sq: _inline_l(m, _inline_gamma(m, mu, k1,
+                                                               khat_sq)))
+        assert (lhs.hex(), rhs.hex()) == (
+            (n * t_off_per(xi, params)).hex(),
+            (-0.34 / (1.0 - 1.0 / 3.1) * weighted).hex())
+    for xi in (lambda r: math.exp(-r * r / 2.0), lambda r: 1.0 / (1.0 + r**4)):
+        for m in (0.4, 1.0, 2.5):
+            for nu in (0.3, 4.0):
+                assert g_norm_sq(xi, nu, ModelParams(m=m, n=1)).hex() == (
+                    _inline_g_norm_sq(xi, nu, m).hex())
+
+
+def test_fhat_s_and_thm_a1_bit_identical_to_inline_bodies(monkeypatch):
+    """fhat_infinity and s_function on one number and on an array equal
+    their inline bodies, and thm_a1_check reads S as the array form did."""
+    for m in (0.3, 1.0, 7.0):
+        for gamma in (0.1, 1.0, 9.0):
+            r = np.linspace(0.01, 20.0, 997)
+            assert (fhat_infinity(m, gamma, r).tobytes()
+                    == _inline_fhat(m, gamma, r).tobytes())
+            for x in (0.05, 1.7, 13.0):
+                assert float(fhat_infinity(m, gamma, x)).hex() == float(
+                    _inline_fhat(m, gamma, x)).hex()
+    for mu in (0.5, 2.0, 12.0):
+        rho = np.linspace(0.0, 30.0, 1001)
+        assert s_function(rho, mu).tobytes() == _inline_s(rho, mu).tobytes()
+        for x in (0.0, 1e-4, 0.7, 1e6):
+            assert s_function(x, mu).hex() == float(_inline_s(x, mu)).hex()
+    qs = [box_spectra.random_admissible_q(2.0, 12.0, seed) for seed in range(3)]
+    new = [box_spectra.thm_a1_check(q, eta=0.5) for q in qs]
+    monkeypatch.setattr(box_spectra, "s_function", _inline_s)
+    ref = [box_spectra.thm_a1_check(q, eta=0.5) for q in qs]
+    assert [{k: v.hex() for k, v in d.items()} for d in new] == [
+        {k: v.hex() for k, v in d.items()} for d in ref]
 
 
 def test_l_periodic_approaches_continuum_large_ell():
