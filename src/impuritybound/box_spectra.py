@@ -281,14 +281,19 @@ def galerkin_spectrum(v: PotentialGrid, basis_size: int) -> np.ndarray:
             f"to {2 * nmax} (aliasing)")
     # C[d] = integral of V(x) prod_j cos(pi d_j x_j / L)
     coefs = _sci_fft.dctn(v.values, type=2) * (v.h**3 / 8.0)
+    # |n - n'| and n + n' as offsets into C[...] in row-major order, so
+    # that each term is one gather from the flat array
+    ng = coefs.shape
+    step = np.array([ng[1] * ng[2], ng[2], 1])
+    diff = np.abs(lab[:, None, :] - lab[None, :, :]) * step
+    summ = (lab[:, None, :] + lab[None, :, :]) * step
+    flat = coefs.ravel()
     w = np.zeros((basis_size, basis_size))
-    diff = np.abs(lab[:, None, :] - lab[None, :, :])
-    summ = lab[:, None, :] + lab[None, :, :]
     for eps in range(8):
         bits = [(eps >> b) & 1 for b in range(3)]
-        d = np.where(np.array(bits, dtype=bool)[None, None, :], summ, diff)
+        i = [(summ if bit else diff)[..., j] for j, bit in enumerate(bits)]
         sign = (-1.0) ** sum(bits)
-        w += sign * coefs[d[..., 0], d[..., 1], d[..., 2]]
+        w += sign * flat[i[0] + i[1] + i[2]]
     w *= (2.0 / v.lbig) ** 3 / 8.0
     h = np.diag(p2) + w
     try:

@@ -146,6 +146,34 @@ def _gamma_offset(m, mu, ell, k1, khat_sq):
     return gamma, off - np.round(off / spacing) * spacing
 
 
+# Largest shell count of the Poisson correction. Its (2 nmax + 1)^3 cube
+# costs one call about 24 B per point at o = 0 and 32 B with an offset
+# (tracemalloc peak), so at this limit a call stays under about 1.3 GB,
+# the scale of box_spectra.MAX_MODES.
+MAX_SHELLS = 171
+
+
+def _without_origin(cube):
+    """The C-contiguous (N, N, N, ...) array ``cube`` flattened over its
+    first three axes in row-major order, its centre point (the origin)
+    dropped. The points after the centre move up by one in place, and the
+    result is a view of ``cube``'s memory."""
+    flat = cube.reshape(-1)
+    width = cube[0, 0, 0].size
+    start = width * (flat.size // width // 2)
+    # a one-dimensional overlapping copy: numpy moves it without a buffer
+    flat[start:-width] = flat[start + width:]
+    return flat[:-width].reshape(-1, *cube.shape[3:])
+
+
+def _lattice_points(x):
+    """The points (x_i, x_j, x_k) of the cube of coordinates ``x`` as an
+    (N^3 - 1, 3) array in row-major order, the origin dropped."""
+    z = np.empty((x.size,) * 3 + (3,))
+    z[..., 0], z[..., 1], z[..., 2] = x[:, None, None], x[:, None], x
+    return _without_origin(z)
+
+
 def _l_periodic_impl(m, mu, ell, k1, khat_sq):
     # the t-sum runs over the shifted lattice L + m k1/(m+1); in position
     # space the shift becomes a phase cos(offset . z) on the dual sum
@@ -154,17 +182,21 @@ def _l_periodic_impl(m, mu, ell, k1, khat_sq):
     # truncate when the geometric tail of e^{-eta |n|}/|n| is below 1e-14
     # of the leading shell, i.e. at nmax ~ 40/eta
     nmax = max(1, int(math.ceil(40.0 / eta)))
-    if nmax > 400:
+    if nmax > MAX_SHELLS:
         raise NumericError(
             f"Poisson correction needs nmax={nmax} shells (gamma*ell^2 too "
             "small for the exponential representation)")
-    rng = np.arange(-nmax, nmax + 1)
-    Z = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
-    Z = Z[(Z * Z).sum(axis=1) > 0].astype(float) * ell
-    fh = fhat_infinity(m, gamma, np.sqrt((Z * Z).sum(axis=1)))
-    corr = float((np.cos(Z @ off) * fh).sum())
-    return (l_of_gamma(m, gamma) - (2.0 * math.pi) ** 1.5 * corr,
-            {"nmax": nmax, "n_terms": int(Z.shape[0])})
+    x = np.arange(-nmax, nmax + 1) * ell
+    # cos(z . o) is exactly 1 at o = 0. Otherwise it is read from the
+    # (N^3 - 1, 3) point matrix times o, whose rounding a broadcast dot
+    # product does not reproduce; formed first, so that the points are
+    # freed before the distances are.
+    phase = np.cos(_lattice_points(x) @ off) if off.any() else 1.0
+    sq = x * x
+    r = _without_origin((sq[:, None, None] + sq[:, None]) + sq)
+    terms = phase * fhat_infinity(m, gamma, np.sqrt(r, out=r))
+    return (l_of_gamma(m, gamma) - (2.0 * math.pi) ** 1.5 * float(terms.sum()),
+            {"nmax": nmax, "n_terms": int(r.size)})
 
 
 def _split_kvec(params: ModelParams, kvec):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -313,13 +314,17 @@ def _label_thm_a3(v, mu, basis_size):
 
 
 def test_galerkin_and_thm_a3_bit_identical_to_label_path():
+    """Seeded small cases, then ltcheck's ensemble size (basis 512, grid
+    48)."""
     rng = np.random.default_rng(20261020)
-    for i in range(16):
-        lbig = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        n_grid = int(rng.choice([12, 16, 20, 24]))
-        basis = int(rng.choice([1, 2, 7, 8, 27, 40, 64, 100]))
-        v = bs.random_smooth_potential(lbig, seed=int(rng.integers(1000)),
-                                       depth=float(rng.uniform(0.5, 3.0)),
+    drawn = ((float(rng.choice([1.0, 1.5, 2.0, 3.0])),
+              int(rng.choice([12, 16, 20, 24])),
+              int(rng.choice([1, 2, 7, 8, 27, 40, 64, 100])),
+              int(rng.integers(1000)), float(rng.uniform(0.5, 3.0)))
+             for _ in range(16))
+    for lbig, n_grid, basis, seed, depth in itertools.chain(
+            drawn, [(2.0, 48, 512, 26, 2.0)]):
+        v = bs.random_smooth_potential(lbig, seed=seed, depth=depth,
                                        n_grid=n_grid)
         try:
             ref = _label_galerkin(v, basis)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +102,8 @@ def test_l_periodic_bit_identical_to_inline_fhat():
     between 2 and 12, where the Poisson correction shows in the value and
     the shell cube stays small (nmax <= 20), and the f-hat terms
     themselves, since a last-bit change in them need not move L^per; then
-    both error paths."""
+    inputs up to nmax 90, with and without an offset, and both error
+    paths."""
     rng = np.random.default_rng(20261019)
     cases = []
     for i in range(60):
@@ -114,6 +116,10 @@ def test_l_periodic_bit_identical_to_inline_fhat():
         mu = gamma - float(k1 @ k1) / (2.0 * (1.0 + m)) - 0.5 * khat_sq
         cases.append((m, mu, ell, k1, khat_sq))
     zero = np.zeros(3)
+    # the perfbench refs.json inputs at k = 0 (nmax 57, 74 and 90), and an
+    # offset o = (o1, o1, 0) with nmax 33
+    cases += [(1.0, mu, 1.0, zero, 0.0) for mu in (0.5, 0.3, 0.2)]
+    cases.append((0.02, 0.2, 1.0, np.array([2.0 * math.pi] * 2 + [0.0]), 0.0))
     for m, mu, ell, k1, khat_sq in cases:
         val, meta = torus_forms._l_periodic_impl(m, mu, ell, k1, khat_sq)
         ref = _inline_fhat_l_periodic(m, mu, ell, k1, khat_sq)
@@ -128,6 +134,31 @@ def test_l_periodic_bit_identical_to_inline_fhat():
         with pytest.raises(exc) as new:
             torus_forms._l_periodic_impl(1.0, mu, 1.0, zero, 0.0)
         assert str(new.value) == str(ref.value)
+
+
+def test_l_periodic_shell_memory_bounded():
+    """The shell sum forms no (N^3, 3) index array: at the ensemble
+    reference mu = 0.2 (nmax 90) one call peaks near 24 B per cube point,
+    and one shell above MAX_SHELLS it raises before it allocates."""
+    zero = np.zeros(3)
+    nmax = torus_forms.MAX_SHELLS + 1
+    tracemalloc.start()
+    try:
+        assert torus_forms._l_periodic_impl(
+            1.0, 0.2, 1.0, zero, 0.0)[1]["nmax"] == 90
+        peak_ref = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # ceil(40 / sqrt(mu)) = nmax at m = ell = 1, k = 0
+        with pytest.raises(NumericError) as exc:
+            torus_forms._l_periodic_impl(
+                1.0, (40.0 / (nmax - 0.5)) ** 2, 1.0, zero, 0.0)
+        peak_above = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_ref < 250e6 and peak_above < 1e6
+    assert str(exc.value) == (
+        f"Poisson correction needs nmax={nmax} shells (gamma*ell^2 too "
+        "small for the exponential representation)")
 
 
 def _inline_diagonal_sum(xi, kernel):
