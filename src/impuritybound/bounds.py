@@ -132,10 +132,23 @@ def weyl_c_t() -> float:
 
 
 def enumerate_c_t(n_max: int, return_curve: bool = False):
-    """Smallest value over 2 < N <= n_max of half the minimal total squared
-    momentum of N distinct unit-lattice vectors (including 0), times
-    (2 pi)^2, divided by N^{5/3}. Enumeration is certified complete: the
-    ball radius strictly exceeds every norm that enters a prefix sum.
+    """Smallest value over 2 < N <= n_max of the ratio
+    R(N) = (2 pi)^2/2 * S(N - 1) / N^{5/3}, where S(M) is the least sum of
+    |n|^2 over M distinct points n of Z^3 (the lowest M modes, 0 among
+    them). Enumeration is certified complete: the ball radius strictly
+    exceeds every norm that enters a prefix sum.
+
+    The minimum, 2 pi^2 / 3^{5/3} = 3.16321 at N = 3, is the infimum over
+    all N >= 3. Give each of the M points its unit cube: the integral of
+    |x|^2 over n + [-1/2, 1/2]^3 is |n|^2 + 1/4, and the M cubes fill a
+    set of volume M, over which |x|^2 integrates to at least its integral
+    over the ball of volume M centred at 0. Hence
+    S(M) >= (3/5) (3/(4 pi))^{2/3} M^{5/3} - M/4, that is
+    R(N) >= G(N) = weyl_c_t() (1 - 1/N)^{5/3} - (pi^2/2) (N - 1)/N^{5/3}.
+    Both terms of G increase with N for N >= 3, since (N - 1)/N^{5/3} has
+    the derivative N^{-8/3} (5 - 2N)/3. G(13) = 3.16467 exceeds the
+    minimum, so no N >= 13 goes below it, and the minimum over
+    3 <= N <= 12 is the infimum.
     """
     if n_max < 3:
         raise PreconditionError(f"n_max must be >= 3, got {n_max}")

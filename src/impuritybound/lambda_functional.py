@@ -7,9 +7,10 @@ The kernel is homogeneous of degree -3 under simultaneous scaling of
 integrals use tensorized Gauss-Legendre quadrature in spherical
 coordinates centered at the kernel's singular point A*K, where the
 1/(t-AK)^2 factor is cancelled by the Jacobian. The fixed-resolution rule
-evaluates its grid in blocks of whole r-rows into one grid-sized array and
-sums that array once, so its floats do not depend on the block size; the
-lattice sum likewise walks its index box in blocks of z-slabs.
+evaluates its grid in blocks of whole r-rows and adds them in the tree of
+numpy's pairwise summation of the whole grid, leaf by leaf, so it never
+holds the grid and its floats do not depend on the block size; the
+lattice sum walks its index box in blocks of z-slabs.
 """
 
 from __future__ import annotations
@@ -74,8 +75,34 @@ def _angular(nth: int, nphi: int):
     return tuple(th + ph)
 
 
-# grid points per block of _lam_quad_fixed: its temporaries stay cache-sized
+# grid points per r-row block of _lam_quad_fixed, and per leaf of its sum:
+# its temporaries stay cache-sized
 _QUAD_BLOCK_POINTS = 1 << 15
+
+# numpy's pairwise summation adds a run of at most this many values in one
+# loop of eight partial sums; a longer run is split in two
+_PAIRWISE_RUN = 128
+
+
+def _pairwise_sum(lo, hi, leaf, leaf_sum):
+    """Sum of the values lo..hi-1 of a sequence, added in the tree of
+    numpy's pairwise summation of a contiguous float64 array (pairwise_sum
+    in numpy's loops_utils.h.src): a run of n > 128 values splits at
+    n2 = n//2 - (n//2) % 8, and its sum is left + right.
+
+    Runs of at most max(leaf, 128) values are not split here; they are the
+    leaves, and ``leaf_sum(lo, hi)`` returns each one's sum, called from
+    left to right. With ``leaf_sum = lambda lo, hi: float(a[lo:hi].sum())``
+    the result has the bits of ``a.sum()``. Module-level, so that the
+    recursion makes no reference cycle holding the caller's buffers.
+    """
+    n = hi - lo
+    if n <= leaf or n <= _PAIRWISE_RUN:
+        return leaf_sum(lo, hi)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return (_pairwise_sum(lo, lo + n2, leaf, leaf_sum)
+            + _pairwise_sum(lo + n2, hi, leaf, leaf_sum))
 
 
 def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
@@ -85,14 +112,18 @@ def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
 
     Coordinates: K along e_z, s_tilde in the x-z plane at angle psi.
     Factors of (r, theta) alone are formed once on (nr, nth, 1) arrays.
-    The phi-dependent terms are evaluated in blocks of whole r-rows of at
-    most ``_QUAD_BLOCK_POINTS`` points (one row if a row is larger), in
-    block-sized temporaries; each block's integrand values land in their
-    rows of one (nr, nth, nphi) array. Each element sees the same
-    operations in the same order as a plain meshgrid evaluation, and the
-    final sum runs over that one C-contiguous grid, so numpy's pairwise
-    summation adds the same values in the same tree. Results therefore
-    depend neither on this layout nor on the block size.
+    The integrand is evaluated in blocks of whole r-rows of at most
+    ``_QUAD_BLOCK_POINTS`` points (one row if a row is larger), in
+    block-sized temporaries, with the same operations per point as a plain
+    meshgrid evaluation. The grid is never held whole: ``_pairwise_sum``
+    walks the tree in which numpy would sum the C-contiguous
+    (nr, nth, nphi) grid, and takes its leaves of at most
+    ``_QUAD_BLOCK_POINTS`` points from left to right. For each leaf, blocks
+    are evaluated into one buffer of a leaf plus a block until they cover
+    it, numpy sums the leaf, and the block tail past it is carried to the
+    buffer's front for the next leaf. Every point is evaluated once, and
+    the sum has the bits of the meshgrid grid's ``sum()``, whatever the
+    block size.
     """
     if S == 0.0:
         return 0.0
@@ -132,38 +163,52 @@ def _lam_quad_fixed(m, A, S, K, psi, Q, delta, n, ell,
     jrwt = jr.reshape(nr, 1, 1) * wt
     rfac = R * R / (R * R + dreg)
 
-    full = np.empty((nr, nth, nphi))
-    step = max(1, _QUAD_BLOCK_POINTS // (nth * nphi))
+    row = nth * nphi
+    step = max(1, _QUAD_BLOCK_POINTS // row)
+    leaf = max(_QUAD_BLOCK_POINTS, _PAIRWISE_RUN)
+    # integrand values of flat grid points [start, end), from buf[0] on
+    buf = np.empty(min(leaf + step * row, nr * row))
     tx_buf = np.empty((min(step, nr), nth, nphi))
     tmp_buf = np.empty_like(tx_buf)
     csq_buf = np.empty_like(tx_buf)
-    for i0 in range(0, nr, step):
-        rows = slice(i0, i0 + step)
-        k = min(step, nr - i0)
-        # t_x, then t^2 (in its rows of the full grid) and s.t, in place
-        tx = np.multiply(rst[rows], cp, out=tx_buf[:k])
-        t2 = np.multiply(tx, tx, out=full[rows])
-        tmp = np.multiply(rrss[rows], sp2, out=tmp_buf[:k])
-        t2 += tmp
-        t2 += tz2[rows]
-        sdott = tx
-        sdott *= sx
-        sdott += sztz[rows]
-        denom = np.add(s2, t2, out=tmp)
-        denom += B
-        denom *= denom
-        csq = np.multiply(c4, sdott, out=csq_buf[:k])
-        csq **= 2
-        denom -= csq
-        f = t2
-        f *= c1
-        f += B
-        f **= -0.25
-        f *= np.abs(sdott, out=sdott)
-        f /= denom
-        f *= rfac[rows]
-        f *= np.multiply(jrwt[rows], jp, out=csq)
-    return 2.0 * pref * float(full.sum())
+    start = end = 0
+
+    def leaf_sum(lo, hi):
+        nonlocal start, end
+        buf[:end - lo] = buf[lo - start:end - start]
+        start = lo
+        while end < hi:
+            i0 = end // row
+            k = min(step, nr - i0)
+            rows = slice(i0, i0 + k)
+            out = buf[end - lo:end - lo + k * row].reshape(k, nth, nphi)
+            # t_x, then t^2 (in the block's place in buf) and s.t, in place
+            tx = np.multiply(rst[rows], cp, out=tx_buf[:k])
+            t2 = np.multiply(tx, tx, out=out)
+            tmp = np.multiply(rrss[rows], sp2, out=tmp_buf[:k])
+            t2 += tmp
+            t2 += tz2[rows]
+            sdott = tx
+            sdott *= sx
+            sdott += sztz[rows]
+            denom = np.add(s2, t2, out=tmp)
+            denom += B
+            denom *= denom
+            csq = np.multiply(c4, sdott, out=csq_buf[:k])
+            csq **= 2
+            denom -= csq
+            f = t2
+            f *= c1
+            f += B
+            f **= -0.25
+            f *= np.abs(sdott, out=sdott)
+            f /= denom
+            f *= rfac[rows]
+            f *= np.multiply(jrwt[rows], jp, out=csq)
+            end += k * row
+        return float(buf[:hi - lo].sum())
+
+    return 2.0 * pref * _pairwise_sum(0, nr * row, leaf, leaf_sum)
 
 
 _LEVELS = ((48, 28, 28), (72, 44, 44), (108, 64, 64), (160, 96, 96),

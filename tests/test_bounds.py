@@ -23,6 +23,27 @@ def test_c_t_stability_and_asymptote():
     assert curve[-1] == pytest.approx(bd.weyl_c_t(), rel=5e-3)
 
 
+def test_c_t_is_infimum_over_all_n():
+    """The unit-cube bound G(N) of enumerate_c_t's docstring lies below
+    every enumerated ratio, increases with N and exceeds the minimum from
+    N = 13 on, so the minimum at N = 3 is the infimum over all N."""
+    value, ns, curve = bd.enumerate_c_t(1000, return_curve=True)
+    assert ns[np.argmin(curve)] == 3
+    assert bd.enumerate_c_t(12) == value
+
+    def cube_bound(n):
+        n = np.asarray(n, dtype=float)
+        return (bd.weyl_c_t() * (1.0 - 1.0 / n) ** (5.0 / 3.0)
+                - 0.5 * math.pi**2 * (n - 1.0) / n ** (5.0 / 3.0))
+
+    assert np.all(curve >= cube_bound(ns))
+    assert cube_bound(13) == pytest.approx(3.164673, abs=1e-6)
+    assert cube_bound(13) > value
+    far = np.unique(np.geomspace(3.0, 1e8, 4000).round())
+    assert np.all(np.diff(cube_bound(far)) > 0)
+    assert cube_bound(1e8) == pytest.approx(bd.weyl_c_t(), rel=1e-5)
+
+
 def _own_cube_c_t(n_max):
     """enumerate_c_t's own certified-doubling loop over a Z^3 cube, before
     it read box_spectra's lowest modes; kept as its oracle. Returns the

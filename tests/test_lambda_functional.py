@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -12,8 +13,9 @@ from impuritybound.kernels import lambda_coefficients, lambda_kernel
 from impuritybound.lambda_functional import (_LEVELS, _QUAD_BLOCK_POINTS,
                                              _envelope_tail, _gl,
                                              _hybrid_lattice_sum,
-                                             _lam_quad_fixed, critical_mass,
-                                             fit_c_lambda, integrate_lambda,
+                                             _lam_quad_fixed, _pairwise_sum,
+                                             critical_mass, fit_c_lambda,
+                                             integrate_lambda,
                                              lattice_lambda_sum)
 from impuritybound.params import (LambdaArgs, LambdaResult, SupSearchConfig,
                                   default_a_const)
@@ -158,20 +160,55 @@ def test_quadrature_level3_bit_identical_to_meshgrid_reference():
 
 
 def test_quadrature_independent_of_block_size(monkeypatch):
-    """One r-row a block, odd sizes, the default and one block for the
-    whole grid all give the same floats, ball and full."""
+    """Budgets below, at and just above numpy's 128-value run (one r-row a
+    block, leaves of one run), odd sizes, the default and one block and
+    leaf for the whole grid all give the same floats, ball and full. The
+    level-3 cases make trees of many leaves, with partial blocks carried
+    from one leaf to the next."""
     rng = np.random.default_rng(20261021)
     cases = [_random_quad_args(rng, i, i % 3) for i in range(24)]
+    cases += [_random_quad_args(rng, i, 3) for i in (0, 3)]  # full, ball
     expected = [_lam_quad_fixed(*args, r_hi=r_hi) for args, r_hi in cases]
-    for block in (1, 777, _QUAD_BLOCK_POINTS, 1 << 30):
+    for block in (1, 100, 128, 129, 777, _QUAD_BLOCK_POINTS, 1 << 30):
         monkeypatch.setattr(lambda_functional, "_QUAD_BLOCK_POINTS", block)
         assert [_lam_quad_fixed(*args, r_hi=r_hi)
                 for args, r_hi in cases] == expected
 
 
+def test_pairwise_sum_follows_numpy_tree():
+    """With numpy summing the leaves, the tree gives the bits of a.sum():
+    numpy splits a run of n > 128 values at n//2 - (n//2) % 8. A numpy
+    whose pairwise rule changes fails here by name. Leaves come from left
+    to right and tile [0, n), as the quadrature's stream needs."""
+    rng = np.random.default_rng(20261022)
+    lengths = (list(range(1, 130))
+               + [8 * k + d for k in (17, 128, 1025, 4096) for d in (-1, 1)]
+               + [int(n) for n in rng.integers(130, 200_000, size=16)]
+               + [2_999_999, 240 * 144 * 144])
+    for n in lengths:
+        a = rng.standard_normal(n)
+        a *= 10.0 ** rng.uniform(-3.0, 3.0, n)
+        expected = float(a.sum()).hex()
+        for leaf in (1, 777, _QUAD_BLOCK_POINTS):
+            spans = []
+
+            def leaf_sum(lo, hi):
+                spans.append((lo, hi))
+                return float(a[lo:hi].sum())
+
+            assert _pairwise_sum(0, n, leaf, leaf_sum).hex() == expected, (
+                n, leaf)
+            assert [lo for lo, _ in spans] == [0] + [
+                hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == n
+            assert max(hi - lo for lo, hi in spans) <= max(leaf, 128)
+
+
 def test_quadrature_memory_bounded():
-    """Level 4 is 240 * 144 * 144 points: one 40 MB grid array plus
-    block-sized temporaries (four whole-grid arrays would be 160 MB)."""
+    """Level 4 is 240 * 144 * 144 points, 40 MB as one array. The
+    quadrature holds none: a buffer of one leaf plus one block of at most
+    ``_QUAD_BLOCK_POINTS`` points each, three block temporaries and the
+    (nr, nth, 1) factors, about 3 MB at every level."""
     args = (1.0, default_a_const(1.0), 1.0, 1.1, 0.7, 0.4, 0.0, 1, 1.0,
             *_LEVELS[4])
     _lam_quad_fixed(*args)  # fill the node caches before tracing
@@ -181,7 +218,56 @@ def test_quadrature_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 56e6
+    assert peak < 8e6
+
+
+def test_quadrature_frees_its_buffers_without_gc():
+    """Twenty level-2 calls with the garbage collector off leave no memory
+    behind, so no reference cycle keeps a call's buffers (about 1 MB each)
+    alive until a collection."""
+    args = (1.0, default_a_const(1.0), 1.0, 1.1, 0.7, 0.4, 0.0, 1, 1.0,
+            *_LEVELS[2])
+    _lam_quad_fixed(*args)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        _lam_quad_fixed(*args)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            _lam_quad_fixed(*args)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 2e5
+
+
+def test_quadrature_large_mass_limit():
+    """m * (integral of lambda) -> sqrt(2)/4 as m -> infinity at Q -> 0,
+    for every K and psi: an anchor that does not come from the ladder.
+
+    As m -> infinity, c1 -> 1, a -> 1, c4 -> 0 and A = 1/(m+2) -> 0, so
+    AK -> 0 and B -> q = 2Q^2. With |s| = 1, m times the kernel tends to
+    (1+q)^{3/4} pi^-2 (t^2+q)^{-1/4} |s.t| / (t^2 (1+t^2+q)^2), which no
+    longer depends on K or on the angle psi. Over directions, |s.t| = r|u|
+    integrates to 2 pi r, and x = r^2 + q turns the radial integral into
+    F(q) = pi^-1 (1+q)^{3/4} int_q^inf x^{-1/4} (1+x)^{-2} dx. At q = 0
+    that is B(3/4, 5/4) / pi = Gamma(3/4) Gamma(1/4) / (4 pi) = sqrt(2)/4.
+
+    At m = 1e4 the factor m/(m+1) is 1e-4 low and the ladder's own error
+    is of the same order; the total relative errors are about +1e-5 at
+    level 3 and -6e-5 at level 4, so 2e-4 bounds both.
+    """
+    limit = math.sqrt(2.0) / 4.0
+    assert limit == pytest.approx(
+        math.gamma(0.75) * math.gamma(0.25) / (4.0 * math.pi), rel=1e-15)
+    m = 1e4
+    for level in (3, 4):
+        for psi in (0.0, 0.5 * math.pi, math.pi):
+            val = m * _lam_quad_fixed(m, default_a_const(m), 1.0, 1e-3, psi,
+                                      1e-6, 0.0, 1, 1.0, *_LEVELS[level])
+            assert abs(val / limit - 1.0) < 2e-4, (level, psi, val)
 
 
 def test_critical_mass_stops_at_float_spacing(monkeypatch):
